@@ -129,6 +129,16 @@ def default_torus(params: MhcParams, extent: float = 0.0) -> Window:
     return Window(side, side)
 
 
+def _realizations(params: MhcParams, window: Window, n_realizations: int, seed: int):
+    """The validators' seeded realization loop: for i in range(n_realizations),
+    the generator of stream (seed, i) after its hardcore draw, so callers keep
+    drawing from it, and the retained points (no window filter)."""
+    for i in range(n_realizations):
+        rng = _rng_for(seed, stream=i)
+        parents, _, keep = mhc_realization(rng, params, window)
+        yield rng, parents[keep]
+
+
 def void_probability_empirical(params: MhcParams, r: float, n_realizations: int,
                                seed: int, window: Window | None = None) -> VoidEstimate:
     """Monte Carlo estimate of P[no retained point within distance r of a
@@ -144,10 +154,7 @@ def void_probability_empirical(params: MhcParams, r: float, n_realizations: int,
     if window is None:
         window = default_torus(params, extent=r)
     hits = 0
-    for i in range(n_realizations):
-        rng = _rng_for(seed, stream=i)
-        parents, _, keep = mhc_realization(rng, params, window)
-        pts = parents[keep]
+    for rng, pts in _realizations(params, window, n_realizations, seed):
         loc = rng.uniform(0.0, 1.0, 2) * (window.width, window.height)
         if len(pts) == 0 or window.distances(loc, pts).min() > r:
             hits += 1
@@ -166,10 +173,7 @@ def nearest_distance_samples(params: MhcParams, n_realizations: int, seed: int,
     if window is None:
         window = default_torus(params)
     out = np.empty(n_realizations)
-    for i in range(n_realizations):
-        rng = _rng_for(seed, stream=i)
-        parents, _, keep = mhc_realization(rng, params, window)
-        pts = parents[keep]
+    for i, (rng, pts) in enumerate(_realizations(params, window, n_realizations, seed)):
         loc = rng.uniform(0.0, 1.0, 2) * (window.width, window.height)
         out[i] = window.distances(loc, pts).min() if len(pts) else math.inf
     return out
@@ -227,10 +231,7 @@ def pair_density_empirical(params: MhcParams, upsilons, n_realizations: int,
     inverse = np.argsort(order)
     norm = window.area * 2.0 * math.pi * ups * 2.0 * halfwidth
     per_real = np.empty((n_realizations, len(ups)))
-    for i in range(n_realizations):
-        rng = _rng_for(seed, stream=i)
-        parents, _, keep = mhc_realization(rng, params, window)
-        pts = parents[keep]
+    for i, (_, pts) in enumerate(_realizations(params, window, n_realizations, seed)):
         tree = cKDTree(pts, boxsize=(window.width, window.height))
         cum = tree.count_neighbors(tree, edges[order])[inverse]
         counts = cum[len(ups):] - cum[:len(ups)]  # ordered pairs per bin

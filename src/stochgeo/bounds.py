@@ -22,10 +22,16 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .analytics import SecondOrderDensity, empty_space_pdf, mhc_density
+from .analytics import (
+    SecondOrderDensity,
+    _realizations,
+    default_torus,
+    empty_space_pdf,
+    mhc_density,
+)
 from .coverage import ChannelParams, CoverageCurve, beta_db_to_linear
 from .errors import DataError, ParameterError
-from .pointprocess import MhcParams, Window, _check_seed, _rng_for, mhc_realization
+from .pointprocess import MhcParams, Window, _check_seed
 
 # Floor applied to squared user-to-interferer distances (degenerate collinear
 # geometry); activations are counted and reported.
@@ -76,6 +82,16 @@ def _pow_alpha_half(base: np.ndarray, alpha: float) -> np.ndarray:
     return base ** (alpha / 2.0)
 
 
+def _geometry(r: float, upsilon: np.ndarray, cos_angle: np.ndarray,
+              alpha: float) -> tuple[np.ndarray, int]:
+    """(r^2/R_x^2)^(alpha/2) for interferers at (upsilon, angle) from the
+    serving station, with R_x^2 floored at R2_EPS, and the count of floored
+    entries."""
+    R2 = upsilon * upsilon + r * r - 2.0 * r * upsilon * cos_angle
+    n_clamped = int(np.count_nonzero(R2 < R2_EPS))
+    return _pow_alpha_half(r * r / np.maximum(R2, R2_EPS), alpha), n_clamped
+
+
 def interference_kernel(kind: BoundKind, r: float, upsilon, angle, beta_linear: float,
                         alpha: float):
     """Per-interferer kernel at serving distance r, interferer polar
@@ -88,16 +104,9 @@ def interference_kernel(kind: BoundKind, r: float, upsilon, angle, beta_linear: 
     kind = BoundKind(kind)
     if beta_linear < 0:
         raise ParameterError("beta_linear must be >= 0")
-    upsilon = np.asarray(upsilon, dtype=float)
-    angle = np.asarray(angle, dtype=float)
-    r2 = r * r
-    R2 = upsilon * upsilon + r2 - 2.0 * r * upsilon * np.cos(angle)
-    R2 = np.maximum(R2, R2_EPS)
-    x = beta_linear * _pow_alpha_half(r2 / R2, alpha)
-    if kind is BoundKind.THEOREM1:
-        out = np.log1p(x)
-    else:
-        out = x / (1.0 + x)
+    geom, _ = _geometry(r, np.asarray(upsilon, dtype=float),
+                        np.cos(np.asarray(angle, dtype=float)), alpha)
+    out = _kernel_from_geometry(kind, geom, beta_linear)
     return float(out) if out.ndim == 0 else out
 
 
@@ -164,11 +173,9 @@ class _ExponentGrids:
         self.far_start = 2.0 * float(self.far_lo.max()) + 2.0 / math.sqrt(self.lam_m)
 
     def _geom(self, ups: np.ndarray) -> np.ndarray:
-        r = self.r
-        R2 = ups * ups + r * r - 2.0 * r * ups * self.cos_psi[:, None]
-        self.n_clamped += int(np.count_nonzero(R2 < R2_EPS))
-        R2 = np.maximum(R2, R2_EPS)
-        return _pow_alpha_half(r * r / R2, self.alpha)
+        geom, n_clamped = _geometry(self.r, ups, self.cos_psi[:, None], self.alpha)
+        self.n_clamped += n_clamped
+        return geom
 
     def _far_panels(self, upsilon_max: float):
         """Panel grids [lo(theta), u1], [u1, 2*u1], ... out to upsilon_max."""
@@ -302,7 +309,6 @@ def pgfl_bound_check(params: MhcParams, ch: ChannelParams, beta_linear: float,
         raise ParameterError("r must be > 0")
     seed = _check_seed(seed)
     if window is None:
-        from .analytics import default_torus
         window = default_torus(params, extent=r)
     if not window.toroidal:
         raise ParameterError("Palm sampling requires a toroidal window")
@@ -310,10 +316,7 @@ def pgfl_bound_check(params: MhcParams, ch: ChannelParams, beta_linear: float,
     prods = np.empty(n_realizations)
     sums = np.empty(n_realizations)
     alpha = ch.alpha
-    for i in range(n_realizations):
-        rng = _rng_for(seed, stream=i)
-        parents, _, keep = mhc_realization(rng, params, window)
-        pts = parents[keep]
+    for i, (rng, pts) in enumerate(_realizations(params, window, n_realizations, seed)):
         if len(pts) == 0:
             raise DataError("empty realization; enlarge the window or density")
         idx = int(rng.integers(len(pts)))

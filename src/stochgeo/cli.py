@@ -22,6 +22,7 @@ from .errors import DataError, ParameterError
 
 DEFAULT_BETA_DB = "-10:1:30"
 DEFAULT_TRIALS = 10000
+DEFAULT_REALIZATIONS = {"empty-space": 2000, "rho2": 500, "void": 2000, "pgfl-bound": 1000}
 # guard-band margin for fixed deployments, as a fraction of the short side
 GUARD_FRACTION = 0.2
 
@@ -72,25 +73,37 @@ def _pick(flag_value, config: dict, key: str, fallback, cast):
     if flag_value is not None:
         return flag_value
     if key in config:
-        return cast(config[key])
+        try:
+            return cast(config[key])
+        except ValueError:
+            raise ParameterError(f"bad {key} value {config[key]!r} in --config")
     return fallback
 
 
-def _window_from(args, config, default_spec=None, default_edge="toroidal",
-                 required=True):
-    spec = _pick(args.window, config, "window", default_spec, str)
-    if spec is None:
-        if required:
-            raise ParameterError("--window is required for this source")
-        return None, None
-    w, h = parse_window(spec)
-    edge = _pick(getattr(args, "edge", None), config, "edge", default_edge, str)
-    margin = _pick(getattr(args, "margin", None), config, "margin", None, float)
+def _window(spec, edge=None, margin=None, default_edge="toroidal", default_side=None,
+            kind=None) -> pointprocess.Window:
+    """The window of every command: WxH from `spec` (or a square of
+    `default_side`), `edge` or the command's default, and on a guard edge
+    `margin` or, by default, GUARD_FRACTION of the short side in total."""
+    if spec is not None:
+        w, h = parse_window(spec)
+    elif default_side is not None:
+        w = h = default_side
+    else:
+        raise ParameterError(f"--window is required for source {kind}")
+    edge = edge or default_edge
     if edge == "guard" and margin is None:
-        # the guard band strips GUARD_FRACTION of the short side in total
         margin = GUARD_FRACTION * min(w, h) / 2.0
-    win = pointprocess.Window(w, h, edge=edge, margin=margin or 0.0)
-    return win, spec
+    return pointprocess.Window(w, h, edge=edge, margin=margin or 0.0)
+
+
+def _emit(out, text: str) -> None:
+    """Write command output to the -o path, or the same bytes to stdout."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -103,57 +116,47 @@ def _cmd_sample(args) -> int:
     if kind not in ("ppp", "mhc", "grid"):
         raise ParameterError("sample needs a process: ppp, mhc or grid")
 
+    spec = _pick(args.window, config, "window", None, str)
+    win = _window(spec, _pick(args.edge, config, "edge", None, str),
+                  _pick(args.margin, config, "margin", None, float), kind=kind)
+    cfg = io.ExperimentConfig(scenario="sample", source=kind, window=spec,
+                              edge=win.edge, margin=win.margin or None)
     if kind == "grid":
-        win, spec = _window_from(args, config, default_edge="toroidal")
         n = _pick(args.n, config, "n_points", None, int)
         if n is None:
             raise ParameterError("--n is required for grid")
         ps = pointprocess.generate_grid(n, win)
-    else:
-        lambda_p = _pick(args.lambda_p, config, "lambda_p", None, float)
-        if lambda_p is None:
-            raise ParameterError("--lambda-p is required")
-        if kind == "mhc":
-            d = _pick(args.d, config, "d", None, float)
-            if d is None:
-                raise ParameterError("--d is required for mhc")
-            params = pointprocess.MhcParams(lambda_p, d)
-            win, spec = _window_from(args, config)
-            ps = pointprocess.sample_mhc(params, win, seed)
-        else:
-            win, spec = _window_from(args, config)
-            ps = pointprocess.sample_ppp(lambda_p, win, seed)
-
-    cfg = io.ExperimentConfig(scenario="sample", source=kind, window=spec,
-                              edge=win.edge, margin=win.margin or None,
-                              seed=ps.seed)
-    if kind == "grid":
         cfg.n_points = len(ps)
     else:
-        cfg.lambda_p = lambda_p
+        cfg.lambda_p = _pick(args.lambda_p, config, "lambda_p", None, float)
+        if cfg.lambda_p is None:
+            raise ParameterError("--lambda-p is required")
         if kind == "mhc":
-            cfg.d = d
-    _emit_points(args.out, ps, cfg.to_dict())
+            cfg.d = _pick(args.d, config, "d", None, float)
+            if cfg.d is None:
+                raise ParameterError("--d is required for mhc")
+            params = pointprocess.MhcParams(cfg.lambda_p, cfg.d)
+            ps = pointprocess.sample_mhc(params, win, seed)
+        else:
+            ps = pointprocess.sample_ppp(cfg.lambda_p, win, seed)
+    cfg.seed = ps.seed
+    _emit(args.out, io.points_csv_text(ps, cfg.to_dict()))
     return 0
-
-
-def _emit_points(out, point_set, config):
-    if out:
-        io.write_points_csv(out, point_set, config)
-    else:
-        for line in io.config_lines(config):
-            print(line)
-        print("x_km,y_km")
-        for x, y in point_set.points:
-            print(f"{io.fmt(x)},{io.fmt(y)}")
 
 
 # ---------------------------------------------------------------------------
 # simulate
 
-def _auto_torus(density: float, hardcore_d: float = 0.0) -> pointprocess.Window:
-    side = pointprocess.default_torus_side(density, hardcore_d)
-    return pointprocess.Window(side, side)
+# the parameters each source kind needs, and where a bare source finds each:
+# inline key -> (argument attribute, flag, config key, cast)
+_SOURCE_NEEDS = {"ppp": ("lambda_p",), "mhc": ("lambda_p", "d"), "grid": ("n",),
+                 "file": ("path",)}
+_SOURCE_FLAGS = {"lambda_p": ("lambda_p", "--lambda-p", "lambda_p", float),
+                 "d": ("d", "--d", "d", float),
+                 "n": ("n", "--n", "n_points", int),
+                 "path": ("file", "--file", "file", str)}
+_INLINE_CASTS = {"lambda_p": float, "d": float, "margin": float, "n": int,
+                 "path": str.strip, "window": str.strip, "edge": str.strip}
 
 
 def _parse_source_spec(spec: str, args, config) -> dict:
@@ -162,72 +165,49 @@ def _parse_source_spec(spec: str, args, config) -> dict:
     Bare sources take their parameters from the flags."""
     kind, _, rest = spec.partition(":")
     kind = kind.strip()
-    if kind not in ("ppp", "mhc", "grid", "file"):
+    if kind not in _SOURCE_NEEDS:
         raise ParameterError(f"unknown source kind {kind!r}")
     params: dict = {"kind": kind}
     if rest:
         for token in rest.split(","):
             key, _, value = token.partition("=")
             key = key.strip()
-            if key in ("lambda_p", "d", "margin"):
-                params[key] = float(value)
-            elif key == "n":
-                params["n"] = int(value)
-            elif key in ("path", "window", "edge"):
-                params[key] = value.strip()
-            else:
+            if key not in _INLINE_CASTS:
                 raise ParameterError(f"unknown source parameter {key!r} in {spec!r}")
+            try:
+                params[key] = _INLINE_CASTS[key](value)
+            except ValueError:
+                raise ParameterError(f"bad value {value!r} for {key} in {spec!r}")
+        missing = [key for key in _SOURCE_NEEDS[kind] if key not in params]
+        if missing:
+            raise ParameterError(f"source {spec!r} needs {', '.join(missing)}")
     else:
-        if kind in ("ppp", "mhc"):
-            params["lambda_p"] = _pick(args.lambda_p, config, "lambda_p", None, float)
-            if params["lambda_p"] is None:
-                raise ParameterError(f"--lambda-p is required for source {kind}")
-        if kind == "mhc":
-            params["d"] = _pick(args.d, config, "d", None, float)
-            if params["d"] is None:
-                raise ParameterError("--d is required for source mhc")
-        if kind == "grid":
-            params["n"] = _pick(args.n, config, "n_points", None, int)
-            if params["n"] is None:
-                raise ParameterError("--n is required for source grid")
-        if kind == "file":
-            params["path"] = _pick(args.file, config, "file", None, str)
-            if params["path"] is None:
-                raise ParameterError("--file is required for source file")
+        for key in _SOURCE_NEEDS[kind]:
+            attr, flag, config_key, cast = _SOURCE_FLAGS[key]
+            params[key] = _pick(getattr(args, attr), config, config_key, None, cast)
+            if params[key] is None:
+                raise ParameterError(f"{flag} is required for source {kind}")
     return params
 
 
 def _build_source(params: dict, args, config):
     kind = params["kind"]
-    window_spec = params.get("window") or _pick(args.window, config, "window", None, str)
+    spec = params.get("window") or _pick(args.window, config, "window", None, str)
     edge = params.get("edge") or _pick(args.edge, config, "edge", None, str)
     margin = params.get("margin", _pick(args.margin, config, "margin", None, float))
-
-    def build_window(default_side=None, default_edge="toroidal"):
-        if window_spec is not None:
-            w, h = parse_window(window_spec)
-        elif default_side is not None:
-            w = h = default_side
-        else:
-            raise ParameterError(f"--window is required for source {kind}")
-        e = edge or default_edge
-        m = margin
-        if e == "guard" and m is None:
-            m = GUARD_FRACTION * min(w, h) / 2.0
-        return pointprocess.Window(w, h, edge=e, margin=m or 0.0)
-
     if kind == "ppp":
         lam = params["lambda_p"]
-        win = build_window(default_side=pointprocess.default_torus_side(lam))
+        win = _window(spec, edge, margin, default_side=pointprocess.default_torus_side(lam),
+                      kind=kind)
         return pointprocess.PppSource(lam, win)
     if kind == "mhc":
         mp = pointprocess.MhcParams(params["lambda_p"], params["d"])
-        win = build_window(default_side=analytics.default_torus(mp).width)
+        win = _window(spec, edge, margin, default_side=analytics.default_torus(mp).width,
+                      kind=kind)
         return pointprocess.MhcSource(mp, win)
+    win = _window(spec, edge, margin, default_edge="guard", kind=kind)
     if kind == "grid":
-        win = build_window(default_edge="guard")
         return pointprocess.FixedSource(pointprocess.generate_grid(params["n"], win))
-    win = build_window(default_edge="guard")
     return pointprocess.FixedSource(pointprocess.load_deployment(params["path"], win))
 
 
@@ -277,21 +257,8 @@ def _cmd_simulate(args) -> int:
                               margin=_pick(args.margin, config, "margin", None, float),
                               alpha=ch.alpha, sigma2=ch.sigma2, p_t=ch.p_t,
                               beta_db=beta_spec, trials=trials, seed=seed)
-    _emit_curves(args.out, curves, cfg.to_dict())
+    _emit(args.out, io.curves_csv_text(curves, cfg.to_dict()))
     return 0
-
-
-def _emit_curves(out, curves, config, gaps=None):
-    if out:
-        io.write_curves_csv(out, curves, config, gaps=gaps)
-    else:
-        import tempfile
-        with tempfile.NamedTemporaryFile("r", suffix=".csv", delete=False) as fh:
-            tmp = fh.name
-        io.write_curves_csv(tmp, curves, config, gaps=gaps)
-        with open(tmp, "r", encoding="utf-8") as fh:
-            sys.stdout.write(fh.read())
-        os.unlink(tmp)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +289,7 @@ def _cmd_bound(args) -> int:
     beta_db = parse_grid_spec(beta_spec)
     quad = _quad_from(args, config)
     kind_arg = _pick(args.kind, config, "kind", "both", str)
+    window_spec = _pick(args.window, config, "window", None, str)
     kinds = ([bounds.BoundKind.THEOREM1, bounds.BoundKind.PROPOSITION1]
              if kind_arg == "both" else [bounds.BoundKind(kind_arg)])
 
@@ -330,16 +298,11 @@ def _cmd_bound(args) -> int:
     gaps = None
     seed = None
     trials = None
-    with_sim = args.with_sim or bool(int(config.get("with_sim", "0")))
+    with_sim = args.with_sim or bool(_pick(None, config, "with_sim", 0, int))
     if with_sim:
         seed = default_seed(_pick(args.seed, config, "seed", None, int))
         trials = _pick(args.trials, config, "trials", DEFAULT_TRIALS, int)
-        window_spec = _pick(args.window, config, "window", None, str)
-        if window_spec:
-            w, h = parse_window(window_spec)
-            win = pointprocess.Window(w, h)
-        else:
-            win = analytics.default_torus(params)
+        win = _window(window_spec or None, default_side=analytics.default_torus(params).width)
         sim = coverage.simulate_coverage(pointprocess.MhcSource(params, win), ch,
                                          beta_db, trials, seed, threads=args.threads,
                                          label="simulated")
@@ -349,8 +312,7 @@ def _cmd_bound(args) -> int:
             mean_gap = float(np.mean(np.abs(gaps[c.label])))
             print(f"mean |simulated - {c.label}| = {mean_gap:.4f}")
 
-    cfg = io.ExperimentConfig(scenario="bound", lambda_p=lambda_p, d=d,
-                              window=_pick(args.window, config, "window", None, str),
+    cfg = io.ExperimentConfig(scenario="bound", lambda_p=lambda_p, d=d, window=window_spec,
                               alpha=ch.alpha, sigma2=ch.sigma2, p_t=ch.p_t,
                               beta_db=beta_spec, kind=kind_arg,
                               n_r=quad.n_r, n_theta=quad.n_theta,
@@ -358,7 +320,7 @@ def _cmd_bound(args) -> int:
                               tail_tol=quad.upsilon_tail_tol,
                               trials=trials, seed=seed,
                               with_sim=1 if with_sim else None)
-    _emit_curves(args.out, curves, cfg.to_dict(), gaps=gaps)
+    _emit(args.out, io.curves_csv_text(curves, cfg.to_dict(), gaps))
     return 0
 
 
@@ -372,17 +334,17 @@ def _cmd_validate(args) -> int:
         raise ParameterError("--lambda-p and --d are required")
     params = pointprocess.MhcParams(lambda_p, d)
     seed = default_seed(args.seed)
+    n = (DEFAULT_REALIZATIONS.get(args.check) if args.realizations is None
+         else args.realizations)
     failures = 0
 
     if args.check == "empty-space":
-        n = args.realizations or 2000
         ks = analytics.empty_space_ks(params, n, seed)
         ok = ks.statistic < args.ks_tol
         failures += not ok
         print(f"{'PASS' if ok else 'FAIL'} empty-space: KS={ks.statistic:.4f} "
               f"(n={ks.n_samples}, tol={args.ks_tol:g})")
     elif args.check == "rho2":
-        n = args.realizations or 500
         ups = np.linspace(d, 2 * d, 12)[1:-1]
         est = analytics.pair_density_empirical(params, ups, n, seed)
         ref = analytics.second_order_density(est.upsilon, params)
@@ -398,7 +360,6 @@ def _cmd_validate(args) -> int:
     elif args.check == "void":
         if args.r is None:
             raise ParameterError("--r is required for void")
-        n = args.realizations or 2000
         est = analytics.void_probability_empirical(params, args.r, n, seed)
         lam_m = analytics.mhc_density(params)
         ref = math.exp(-lam_m * math.pi * args.r ** 2)
@@ -408,11 +369,10 @@ def _cmd_validate(args) -> int:
         print(f"{'PASS' if ok else 'FAIL'} void: empirical={est.probability:.4f} "
               f"+-{est.std_error:.4f}, reference={ref:.4f}, z={z:.2f}")
     elif args.check == "pgfl-bound":
-        n = args.realizations or 1000
         if args.r is None:
             raise ParameterError("--r is required for pgfl-bound")
-        ch = coverage.ChannelParams(alpha=args.alpha or 4.0, sigma2=0.0)
-        beta_lin = coverage.beta_db_to_linear(args.beta_db_value or 0.0)
+        ch = coverage.ChannelParams(alpha=args.alpha, sigma2=0.0)
+        beta_lin = coverage.beta_db_to_linear(args.beta_db_value)
         check = bounds.pgfl_bound_check(params, ch, float(beta_lin), args.r, n, seed)
         slack = 3.0 * math.hypot(check.lhs_se, check.rhs_se)
         ok = check.lhs >= check.rhs - slack
@@ -450,11 +410,8 @@ def _cmd_fit(args) -> int:
     ch = _channel_from(args, config)
     seed = default_seed(_pick(args.seed, config, "seed", None, int))
     trials = _pick(args.trials, config, "trials", DEFAULT_TRIALS, int)
-    window = None
     window_spec = _pick(args.window, config, "window", None, str)
-    if window_spec:
-        w, h = parse_window(window_spec)
-        window = pointprocess.Window(w, h)
+    window = _window(window_spec) if window_spec else None
 
     result = coverage.fit_mhc(target, candidates, ch, trials, seed,
                               window=window, threads=args.threads)
@@ -463,11 +420,7 @@ def _cmd_fit(args) -> int:
     lines = ["lambda_p,d,mse"]
     for cand, err in result.table:
         lines.append(f"{io.fmt(cand.lambda_p)},{io.fmt(cand.d)},{io.fmt(err)}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    else:
-        print("\n".join(lines))
+    _emit(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -559,9 +512,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-p", dest="lambda_p", type=float, required=True)
     p.add_argument("--d", type=float, required=True)
     p.add_argument("--r", type=float, help="probe radius / user distance")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta-db", dest="beta_db_value", type=float,
-                   help="threshold for pgfl-bound (dB)")
+    p.add_argument("--alpha", type=float, default=4.0, help="path-loss exponent (default 4)")
+    p.add_argument("--beta-db", dest="beta_db_value", type=float, default=0.0,
+                   help="threshold for pgfl-bound (dB, default 0)")
     p.add_argument("--realizations", type=int)
     p.add_argument("--ks-tol", dest="ks_tol", type=float, default=0.05)
     p.add_argument("--seed", type=int)

@@ -18,15 +18,16 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .analytics import default_torus
 from .errors import DataError, ParameterError
 from .pointprocess import (
+    FixedSource,
     MhcParams,
     MhcSource,
     PointSet,
     R_MIN_KM,
     Window,
     _check_seed,
-    default_torus_side,
 )
 
 # Minimum window width, in multiples of the mean station spacing, below which
@@ -182,7 +183,6 @@ def simulate_coverage(source, ch: ChannelParams, beta_db: Sequence[float],
     given seed regardless of threads.
     """
     if isinstance(source, PointSet):
-        from .pointprocess import FixedSource
         source = FixedSource(source)
     if n_trials < 1:
         raise ParameterError("n_trials must be >= 1")
@@ -247,16 +247,10 @@ def fit_mhc(target: CoverageCurve, search: Sequence[MhcParams], ch: ChannelParam
         raise ParameterError("search grid must be nonempty")
     table = []
     for cand in candidates:
-        win = window if window is not None else _auto_window(cand)
+        win = window if window is not None else default_torus(cand)
         curve = simulate_coverage(MhcSource(cand, win), ch, target.beta_db,
                                   n_trials, seed, threads=threads)
         err = float(np.mean((curve.p_c - target.p_c) ** 2))
         table.append((cand, err))
     best, err = min(table, key=lambda item: (item[1], item[0].d, item[0].lambda_p))
     return FitResult(best, err, table)
-
-
-def _auto_window(params: MhcParams) -> Window:
-    from .analytics import mhc_density
-    side = default_torus_side(mhc_density(params), params.d)
-    return Window(side, side)

@@ -57,29 +57,12 @@ class ExperimentConfig:
     tail_tol: float | None = None
     with_sim: int | None = None
 
-    _INT_FIELDS = ("n_points", "trials", "seed", "n_r", "n_theta", "n_upsilon",
-                   "with_sim")
-    _FLOAT_FIELDS = ("lambda_p", "d", "margin", "alpha", "sigma2", "p_t",
-                     "r_max", "tail_tol")
-
     def to_dict(self) -> dict[str, str]:
         out = {}
         for key, value in asdict(self).items():
             if value is not None and value != "":
                 out[key] = fmt(value)
         return out
-
-    @classmethod
-    def from_dict(cls, data: dict[str, str]) -> "ExperimentConfig":
-        kwargs = {}
-        for key, raw in data.items():
-            if key in cls._INT_FIELDS:
-                kwargs[key] = int(raw)
-            elif key in cls._FLOAT_FIELDS:
-                kwargs[key] = float(raw)
-            elif key in cls.__dataclass_fields__:
-                kwargs[key] = raw
-        return cls(**kwargs)
 
 
 def config_lines(config: dict[str, str]) -> list[str]:
@@ -110,7 +93,9 @@ def read_config(path) -> dict[str, str]:
         return parse_kv_comments(fh)
 
 
-def write_points_csv(path, point_set: PointSet, config: dict[str, str] | None = None):
+def points_csv_text(point_set: PointSet, config: dict[str, str] | None = None) -> str:
+    """A points CSV as text: provenance, seed and window comment lines, then
+    `config`, then the `x_km,y_km` rows."""
     meta = {"provenance": point_set.label}
     if point_set.seed is not None:
         meta["seed"] = str(point_set.seed)
@@ -125,13 +110,13 @@ def write_points_csv(path, point_set: PointSet, config: dict[str, str] | None = 
     lines.append("x_km,y_km")
     for x, y in point_set.points:
         lines.append(f"{fmt(x)},{fmt(y)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
-def write_curves_csv(path, curves, config: dict[str, str] | None = None,
-                     gaps: dict[str, np.ndarray] | None = None):
-    """Emit one or more labeled curves; `gaps` adds a per-row gap_to_sim
-    column for the labels it covers."""
+def curves_csv_text(curves, config: dict[str, str] | None = None,
+                    gaps: dict[str, np.ndarray] | None = None) -> str:
+    """One or more labeled curves as CSV text; `gaps` adds a per-row
+    gap_to_sim column for the labels it covers."""
     lines = config_lines(config or {})
     header = "beta_db,p_c,std_err,label"
     if gaps:
@@ -145,7 +130,16 @@ def write_curves_csv(path, curves, config: dict[str, str] | None = None,
             if gaps:
                 row += "," + ("" if gap is None else fmt(gap[i]))
             lines.append(row)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
+
+
+def write_points_csv(path, point_set: PointSet, config: dict[str, str] | None = None):
+    Path(path).write_text(points_csv_text(point_set, config), encoding="utf-8")
+
+
+def write_curves_csv(path, curves, config: dict[str, str] | None = None,
+                     gaps: dict[str, np.ndarray] | None = None):
+    Path(path).write_text(curves_csv_text(curves, config, gaps), encoding="utf-8")
 
 
 def read_curves_csv(path) -> tuple[list[CoverageCurve], dict[str, str]]:

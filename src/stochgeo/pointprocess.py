@@ -176,13 +176,16 @@ def ppp_points(rng: np.random.Generator, lambda_p: float, xmin: float, xmax: flo
     return np.column_stack([x, y])
 
 
+def _sample(source, seed: int) -> PointSet:
+    """One seeded realization of a random source, as a PointSet."""
+    seed = _check_seed(seed)
+    return PointSet(source.points_for_trial(_rng_for(seed)), source.window, source.label,
+                    seed)
+
+
 def sample_ppp(lambda_p: float, window: Window, seed: int) -> PointSet:
     """Sample a Poisson point process of density lambda_p on the window."""
-    if not lambda_p > 0:
-        raise ParameterError("lambda_p must be > 0")
-    seed = _check_seed(seed)
-    pts = ppp_points(_rng_for(seed), lambda_p, 0.0, window.width, 0.0, window.height)
-    return PointSet(pts, window, f"ppp(lambda_p={lambda_p:g})", seed)
+    return _sample(PppSource(lambda_p, window), seed)
 
 
 def _min_mark_thinning(points: np.ndarray, marks: np.ndarray, d: float,
@@ -239,13 +242,7 @@ def sample_mhc(params: MhcParams, window: Window, seed: int) -> PointSet:
     Retained points have pairwise distance >= d under the window metric;
     their mean density is lambda_p * (1 - exp(-lambda_p*pi*d^2)) / (lambda_p*pi*d^2).
     """
-    seed = _check_seed(seed)
-    parents, _, keep = mhc_realization(_rng_for(seed), params, window)
-    retained = parents[keep]
-    if not window.toroidal and len(retained):
-        retained = retained[window.contains(retained)]
-    return PointSet(retained, window,
-                    f"mhc(lambda_p={params.lambda_p:g},d={params.d:g})", seed)
+    return _sample(MhcSource(params, window), seed)
 
 
 def _grid_shape(n_points: int, window: Window) -> tuple[int, int]:
@@ -304,15 +301,12 @@ def _parse_affine_comment(line: str) -> dict | None:
     return out or None
 
 
-def load_deployment(path, window: Window, offset_x: float | None = None,
-                    offset_y: float | None = None,
-                    scale: float | None = None) -> PointSet:
+def load_deployment(path, window: Window) -> PointSet:
     """Load fixed station coordinates from a CSV with header `x_km,y_km`.
 
     A leading comment line `# offset_x=<v> offset_y=<v> scale=<v>` declares an
-    affine applied before windowing as (x + offset) * scale; explicit keyword
-    arguments override the header. Points landing outside the window are
-    dropped, with the count reported via a warning.
+    affine applied before windowing as (x + offset) * scale. Points landing
+    outside the window are dropped, with the count reported via a warning.
     """
     affine = {"offset_x": 0.0, "offset_y": 0.0, "scale": 1.0}
     rows = []
@@ -343,12 +337,6 @@ def load_deployment(path, window: Window, offset_x: float | None = None,
                 raise DataError(f"line {lineno}: could not parse coordinates {line!r}")
     if not rows:
         raise DataError(f"{path}: no coordinate rows found")
-    if offset_x is not None:
-        affine["offset_x"] = offset_x
-    if offset_y is not None:
-        affine["offset_y"] = offset_y
-    if scale is not None:
-        affine["scale"] = scale
     pts = np.asarray(rows, dtype=float)
     pts[:, 0] = (pts[:, 0] + affine["offset_x"]) * affine["scale"]
     pts[:, 1] = (pts[:, 1] + affine["offset_y"]) * affine["scale"]

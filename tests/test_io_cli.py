@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stochgeo import CoverageCurve, Window, load_deployment
 from stochgeo.cli import main, parse_grid_spec, parse_window
 from stochgeo.io import (
     ExperimentConfig,
+    config_lines,
     fmt,
     parse_kv_comments,
     read_config,
@@ -46,13 +49,24 @@ def test_parse_window():
     assert parse_window("100x80") == (100.0, 80.0)
 
 
-def test_experiment_config_round_trip():
-    cfg = ExperimentConfig(scenario="simulate", source="mhc:lambda_p=2.0,d=0.4",
-                           alpha=4.0, sigma2=0.1, p_t=1.0, beta_db="-10:1:20",
-                           trials=1000, seed=3)
+# config values as the CLI records them: no whitespace, which the parser strips
+_config_text = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zs", "Zl", "Zp")))
+_config_float = st.floats(allow_nan=False) | st.none()
+_config_int = st.integers() | st.none()
+
+
+@given(st.builds(
+    ExperimentConfig, scenario=_config_text, source=_config_text | st.none(),
+    file=_config_text | st.none(), window=_config_text | st.none(),
+    edge=_config_text | st.none(), beta_db=_config_text | st.none(),
+    kind=_config_text | st.none(), lambda_p=_config_float, d=_config_float,
+    margin=_config_float, alpha=_config_float, sigma2=_config_float, p_t=_config_float,
+    r_max=_config_float, tail_tol=_config_float, n_points=_config_int,
+    trials=_config_int, seed=_config_int, n_r=_config_int, n_theta=_config_int,
+    n_upsilon=_config_int, with_sim=_config_int))
+def test_config_lines_round_trip_through_parse_kv_comments(cfg):
     flat = cfg.to_dict()
-    back = ExperimentConfig.from_dict(flat)
-    assert back == cfg
+    assert list(parse_kv_comments(config_lines(flat)).items()) == list(flat.items())
 
 
 def test_parse_kv_comments_ignores_data_rows():
@@ -322,3 +336,52 @@ def test_read_config_from_plain_file(tmp_path):
     assert run(["simulate", "--config", str(f), "-o", str(out)]) == 0
     curves, embedded = read_curves_csv(out)
     assert embedded["trials"] == "500"
+
+
+@pytest.mark.parametrize("spec", [
+    "mhc:lambda_p=abc,d=0.4,window=10x10",
+    "mhc:lambda_p=2,window=10x10",
+    "grid:n=2.5,window=10x10",
+])
+def test_cli_bad_inline_source_is_a_usage_error(spec, capsys):
+    code = run(["simulate", "--source", spec, "--trials", "10", "--seed", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_SOURCE_KEYS = ["lambda_p", "d", "n", "path", "window", "edge", "margin", "junk", ""]
+_SOURCE_VALUES = ["abc", "", "2.5", "-1", "0", "1", "0.4"]
+
+
+@pytest.mark.filterwarnings("ignore")
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(["ppp", "mhc", "grid", "file", "bogus"]),
+       pairs=st.lists(st.tuples(st.sampled_from(_SOURCE_KEYS), st.sampled_from(_SOURCE_VALUES)),
+                      min_size=1, max_size=5))
+def test_cli_fuzzed_inline_sources_never_raise(kind, pairs, tmp_path, monkeypatch):
+    # no path value names an existing file in the scratch directory
+    monkeypatch.chdir(tmp_path)
+    spec = kind + ":" + ",".join(f"{key}={value}" for key, value in pairs)
+    code = run(["simulate", "--source", spec, "--window", "6x6", "--trials", "1",
+                "--beta-db", "0", "--seed", "1"])
+    assert code in (0, 1, 2)
+
+
+def test_cli_validate_zero_realizations_is_a_usage_error():
+    for check in ("empty-space", "rho2", "void", "pgfl-bound"):
+        assert run(["validate", check, "--lambda-p", "1", "--d", "0.3", "--r", "0.3",
+                    "--realizations", "0", "--seed", "1"]) == 2
+
+
+def test_cli_validate_zero_alpha_is_a_usage_error():
+    assert run(["validate", "pgfl-bound", "--lambda-p", "1", "--d", "0.3", "--r", "0.3",
+                "--alpha", "0", "--realizations", "100"]) == 2
+
+
+def test_cli_bad_config_value_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("source=grid\nn_points=2.5\nwindow=10x10\ntrials=10\n")
+    assert run(["simulate", "--config", str(cfg)]) == 2
+    assert "n_points" in capsys.readouterr().err

@@ -223,9 +223,6 @@ def test_load_deployment_affine_header(tmp_path):
                  "x_km,y_km\n6000,4000\n")
     ps = load_deployment(f, Window(10, 10))
     assert np.allclose(ps.points, [[5.0, 2.0]])
-    # explicit arguments override the header
-    ps = load_deployment(f, Window(10, 10), offset_x=-2000, offset_y=-3000, scale=0.001)
-    assert np.allclose(ps.points, [[4.0, 1.0]])
 
 
 def test_pointset_rejects_outside_points():
