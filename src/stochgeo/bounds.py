@@ -9,8 +9,11 @@ pair density. They differ only in the kernel:
   proposition1:  x / (1 + x)       (PGFL-inequality route, the tighter one)
 
 with x = beta * (r^2 / R_x^2)^(alpha/2) and R_x the user-to-interferer
-distance. Everything is evaluated with composite trapezoidal rules; the
-far-field tail is truncated adaptively against an analytic estimate.
+distance. Beyond 2d the pair density is flat (lambda_m^2), so the far term is
+lambda_m times the Poisson integral over {R_x >= r}, which has a closed form
+(Andrews-Baccelli-Ganti), minus the same integral over the compact part
+{R_x >= r, upsilon < 2d}. The near shell and that compact part are evaluated
+with composite trapezoidal rules on polar grids around the serving station.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from enum import Enum
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy.special import hyp2f1
 
 from .analytics import (
     SecondOrderDensity,
@@ -45,20 +49,19 @@ class BoundKind(str, Enum):
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Grid resolutions and truncation policy for the bound integrals.
+    """Grid resolutions for the bound integrals.
 
     n_r points for the serving distance (clustered near 0), n_theta for the
-    interferer angle, n_upsilon per upsilon segment. r_max of None truncates
-    the serving-distance integral where the empty-space CDF mass left behind
-    is ~1e-11. upsilon_tail_tol is the relative tail budget for the far
-    integral's truncation.
+    interferer angle, n_upsilon per angle on each upsilon grid (the near
+    shell and the compact part of the far term). r_max of None truncates the
+    serving-distance integral where the empty-space CDF mass left behind is
+    ~1e-11.
     """
 
     n_r: int = 128
     n_theta: int = 256
     n_upsilon: int = 256
     r_max: float | None = None
-    upsilon_tail_tol: float = 1e-3
 
     def __post_init__(self):
         for name in ("n_r", "n_theta", "n_upsilon"):
@@ -66,8 +69,6 @@ class QuadConfig:
                 raise ParameterError(f"{name} must be >= 16")
         if self.r_max is not None and not self.r_max > 0:
             raise ParameterError("r_max must be > 0")
-        if not 0 < self.upsilon_tail_tol < 1:
-            raise ParameterError("upsilon_tail_tol must be in (0, 1)")
 
     def scaled(self, factor: float) -> "QuadConfig":
         """Copy with all grid counts multiplied by `factor`."""
@@ -125,6 +126,21 @@ def _kernel_from_geometry(kind: BoundKind, geom: np.ndarray, beta_linear: float)
     return x / (1.0 + x)
 
 
+def _outside_disk_integral(kind: BoundKind, r: float, beta_lin, alpha: float):
+    """Integral of the kernel over {R_x >= r} at unit density, in closed form.
+
+    Ratio kernel: pi r^2 * 2 beta/(alpha-2) * 2F1(1, 1-2/alpha; 2-2/alpha; -beta);
+    log kernel, by parts in t = R_x^2/r^2: (alpha/2) * ratio - pi r^2 log(1+beta).
+    """
+    beta = np.asarray(beta_lin, dtype=float)
+    delta = 2.0 / alpha
+    ratio = (math.pi * r * r * 2.0 * beta / (alpha - 2.0)
+             * hyp2f1(1.0, 1.0 - delta, 2.0 - delta, -beta))
+    if kind is BoundKind.PROPOSITION1:
+        return ratio
+    return 0.5 * alpha * ratio - math.pi * r * r * np.log1p(beta)
+
+
 class _ExponentGrids:
     """Reusable geometry for the interference exponents at one (r, phi).
 
@@ -141,8 +157,6 @@ class _ExponentGrids:
             raise ParameterError("alpha must be > 2 (far integral diverges)")
         self.r = r
         self.alpha = ch.alpha
-        self.params = params
-        self.quad = quad
         self.lam_m = mhc_density(params)
         self.n_clamped = 0
 
@@ -155,73 +169,47 @@ class _ExponentGrids:
         # the user-facing half-plane only
         cutoff = np.maximum(2.0 * r * np.cos(psi), 0.0)
         self.cos_psi = np.cos(psi)
+        s = np.linspace(0.0, 1.0, quad.n_upsilon)
+
+        def segment(lo):  # upsilon grid from lo(theta) out to 2d
+            return lo[:, None] + (2.0 * d - lo)[:, None] * s[None, :]
 
         # near segment: partial pair correlation between d and 2d
+        self.near = None
         if d > 0:
-            lo = np.minimum(np.maximum(d, cutoff), 2.0 * d)
-            s = np.linspace(0.0, 1.0, quad.n_upsilon)
-            ups = lo[:, None] + (2.0 * d - lo)[:, None] * s[None, :]
-            self.near_active = lo < 2.0 * d
-            self.near_ups = ups
-            self.near_geom = self._geom(ups)
-            rho1 = SecondOrderDensity(params)(ups.ravel()).reshape(ups.shape)
-            self.near_weight = rho1 * ups
-        else:
-            self.near_active = None
+            ups = segment(np.minimum(np.maximum(d, cutoff), 2.0 * d))
+            rho2 = SecondOrderDensity(params)(ups.ravel()).reshape(ups.shape)
+            self.near = (ups, self._geom(ups), rho2 * ups / self.lam_m)
 
-        self.far_lo = np.maximum(2.0 * d, cutoff)
-        self.far_start = 2.0 * float(self.far_lo.max()) + 2.0 / math.sqrt(self.lam_m)
+        # compact part {R_x >= r, upsilon < 2d} of the closed-form far integral
+        ups = segment(np.minimum(cutoff, 2.0 * d))
+        self.compact = (ups, self._geom(ups), ups)
 
     def _geom(self, ups: np.ndarray) -> np.ndarray:
         geom, n_clamped = _geometry(self.r, ups, self.cos_psi[:, None], self.alpha)
         self.n_clamped += n_clamped
         return geom
 
-    def _far_panels(self, upsilon_max: float):
-        """Panel grids [lo(theta), u1], [u1, 2*u1], ... out to upsilon_max."""
-        s = np.linspace(0.0, 1.0, self.quad.n_upsilon)
-        u = self.far_start
-        ups = self.far_lo[:, None] + (u - self.far_lo)[:, None] * s[None, :]
-        yield ups
-        while u < upsilon_max:
-            ups = u + u * s[None, :]
-            yield np.broadcast_to(ups, (len(self.theta), self.quad.n_upsilon))
-            u *= 2.0
+    def _sweep(self, kind: BoundKind, beta_lin: np.ndarray, grid) -> np.ndarray:
+        """Trapezoid integral of kernel * weight over one polar grid, per beta."""
+        ups, geom, weight = grid
+        out = np.zeros(beta_lin.shape)
+        for i, b in enumerate(beta_lin):
+            if b == 0.0:
+                continue
+            inner = np.trapezoid(_kernel_from_geometry(kind, geom, b) * weight, x=ups, axis=1)
+            out[i] = np.trapezoid(inner, x=self.theta)
+        return out
 
-    def evaluate(self, kind: BoundKind, beta_lin: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-        """(near, far, upsilon_max, tail_estimate) arrays over beta_lin."""
+    def evaluate(self, kind: BoundKind, beta_lin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(near, far) arrays over beta_lin."""
         kind = BoundKind(kind)
         beta_lin = np.asarray(beta_lin, dtype=float)
-        near = np.zeros(beta_lin.shape)
-        if self.near_active is not None and self.near_active.any():
-            for i, b in enumerate(beta_lin):
-                if b == 0.0:
-                    continue
-                F = _kernel_from_geometry(kind, self.near_geom, b) * self.near_weight
-                inner = np.trapezoid(F, x=self.near_ups, axis=1)
-                near[i] = np.trapezoid(inner, x=self.theta) / self.lam_m
-
-        far = np.zeros(beta_lin.shape)
-        tail = np.zeros(beta_lin.shape)
-        tol = self.quad.upsilon_tail_tol
-        u_hi = self.far_start
-        panels = self._far_panels(math.inf)
-        max_panels = 64
-        for n_panel, ups in enumerate(panels):
-            geom = self._geom(np.ascontiguousarray(ups))
-            weight = self.lam_m * ups  # rho2/lam_m * upsilon = lam_m * upsilon
-            for i, b in enumerate(beta_lin):
-                if b == 0.0:
-                    continue
-                F = _kernel_from_geometry(kind, geom, b) * weight
-                inner = np.trapezoid(F, x=ups, axis=1)
-                far[i] += np.trapezoid(inner, x=self.theta)
-            tail = (2.0 * math.pi * self.lam_m * beta_lin * self.r ** self.alpha
-                    * u_hi ** (2.0 - self.alpha) / (self.alpha - 2.0))
-            if np.all(tail <= tol * far) or n_panel >= max_panels:
-                break
-            u_hi *= 2.0
-        return near, far, u_hi, tail
+        near = (np.zeros(beta_lin.shape) if self.near is None
+                else self._sweep(kind, beta_lin, self.near))
+        far = self.lam_m * (_outside_disk_integral(kind, self.r, beta_lin, self.alpha)
+                            - self._sweep(kind, beta_lin, self.compact))
+        return near, far
 
 
 def interference_exponent(kind: BoundKind, r: float, phi: float, beta_linear: float,
@@ -230,18 +218,22 @@ def interference_exponent(kind: BoundKind, r: float, phi: float, beta_linear: fl
     """Near/far interference exponents at serving distance r and user angle phi.
 
     near: integral over the partial-correlation shell [max(d, cutoff),
-    max(2d, cutoff)]; far: integral from max(2d, cutoff) outward, truncated
-    where the analytic tail estimate drops below the configured tolerance
-    relative to the accumulated value. cutoff = 2 r cos(theta - phi) where
+    max(2d, cutoff)]; far: integral over upsilon >= max(2d, cutoff), taken as
+    lambda_m times the closed form over {R_x >= r} minus the trapezoid
+    integral over [min(cutoff, 2d), 2d]. cutoff = 2 r cos(theta - phi) where
     positive (the no-closer-interferer region), so the shell can be empty.
+
+    upsilon_max is 2d, the outer edge of both grids, and tail_estimate is 0.0
+    since nothing is truncated; both stay because perfbench/probes.py reads
+    them.
     """
     quad = quad or QuadConfig()
     if beta_linear < 0:
         raise ParameterError("beta_linear must be >= 0")
     grids = _ExponentGrids(r, phi, ch, params, quad)
-    near, far, u_max, tail = grids.evaluate(kind, np.asarray([beta_linear]))
-    return ExponentResult(float(near[0]), float(far[0]), float(u_max),
-                          float(tail[0]), grids.n_clamped)
+    near, far = grids.evaluate(kind, np.asarray([beta_linear]))
+    return ExponentResult(float(near[0]), float(far[0]), 2.0 * params.d, 0.0,
+                          grids.n_clamped)
 
 
 def coverage_bound(kind: BoundKind, ch: ChannelParams, params: MhcParams,
@@ -271,7 +263,7 @@ def coverage_bound(kind: BoundKind, ch: ChannelParams, params: MhcParams,
         if r == 0.0:
             continue  # zero weight: empty_space_pdf(0) = 0
         grids = _ExponentGrids(float(r), 0.0, ch, params, quad)
-        near, far, _, _ = grids.evaluate(kind, beta_lin)
+        near, far = grids.evaluate(kind, beta_lin)
         mu[:, j] = near + far
 
     weight = empty_space_pdf(r_grid, lam_m)

@@ -270,7 +270,6 @@ def _quad_from(args, config) -> bounds.QuadConfig:
         n_theta=_pick(args.n_theta, config, "n_theta", 256, int),
         n_upsilon=_pick(args.n_upsilon, config, "n_upsilon", 256, int),
         r_max=_pick(args.r_max, config, "r_max", None, float),
-        upsilon_tail_tol=_pick(args.tail_tol, config, "tail_tol", 1e-3, float),
     )
     if args.quad_scale and args.quad_scale != 1.0:
         quad = quad.scaled(args.quad_scale)
@@ -288,7 +287,8 @@ def _cmd_bound(args) -> int:
     beta_spec = _pick(args.beta_db, config, "beta_db", DEFAULT_BETA_DB, str)
     beta_db = parse_grid_spec(beta_spec)
     quad = _quad_from(args, config)
-    kind_arg = _pick(args.kind, config, "kind", "both", str)
+    kind_arg = _pick(args.kind, config, "kind", "both",
+                     lambda v: v if v == "both" else bounds.BoundKind(v).value)
     window_spec = _pick(args.window, config, "window", None, str)
     kinds = ([bounds.BoundKind.THEOREM1, bounds.BoundKind.PROPOSITION1]
              if kind_arg == "both" else [bounds.BoundKind(kind_arg)])
@@ -317,7 +317,6 @@ def _cmd_bound(args) -> int:
                               beta_db=beta_spec, kind=kind_arg,
                               n_r=quad.n_r, n_theta=quad.n_theta,
                               n_upsilon=quad.n_upsilon, r_max=quad.r_max,
-                              tail_tol=quad.upsilon_tail_tol,
                               trials=trials, seed=seed,
                               with_sim=1 if with_sim else None)
     _emit(args.out, io.curves_csv_text(curves, cfg.to_dict(), gaps))
@@ -497,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-theta", dest="n_theta", type=int)
     p.add_argument("--n-upsilon", dest="n_upsilon", type=int)
     p.add_argument("--r-max", dest="r_max", type=float)
-    p.add_argument("--tail-tol", dest="tail_tol", type=float)
     p.add_argument("--with-sim", action="store_true",
                    help="also simulate the process and report the gap")
     p.add_argument("--trials", type=int)

@@ -50,12 +50,12 @@ class ChannelParams:
     p_t: float = 1.0
 
     def __post_init__(self):
-        if not self.alpha > 2:
-            raise ParameterError("alpha must be > 2")
-        if self.sigma2 < 0:
-            raise ParameterError("sigma2 must be >= 0")
-        if not self.p_t > 0:
-            raise ParameterError("p_t must be > 0")
+        if not (math.isfinite(self.alpha) and self.alpha > 2):
+            raise ParameterError("alpha must be finite and > 2")
+        if not (math.isfinite(self.sigma2) and self.sigma2 >= 0):
+            raise ParameterError("sigma2 must be finite and >= 0")
+        if not (math.isfinite(self.p_t) and self.p_t > 0):
+            raise ParameterError("p_t must be finite and > 0")
 
     @property
     def gamma(self) -> float:

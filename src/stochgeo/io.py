@@ -54,7 +54,6 @@ class ExperimentConfig:
     n_theta: int | None = None
     n_upsilon: int | None = None
     r_max: float | None = None
-    tail_tol: float | None = None
     with_sim: int | None = None
 
     def to_dict(self) -> dict[str, str]:
@@ -144,7 +143,9 @@ def write_curves_csv(path, curves, config: dict[str, str] | None = None,
 
 def read_curves_csv(path) -> tuple[list[CoverageCurve], dict[str, str]]:
     """Parse a curves CSV back into CoverageCurve objects plus the embedded
-    config. Curves keep file order; extra columns are ignored."""
+    config. Curves keep file order. Labels are written unquoted and may hold
+    commas, so a row's label is everything between std_err and the trailing
+    columns the header declares after `label`; those columns are ignored."""
     config = {}
     by_label: dict[str, list[tuple[float, float, float | None]]] = {}
     header_seen = False
@@ -160,18 +161,20 @@ def read_curves_csv(path) -> tuple[list[CoverageCurve], dict[str, str]]:
                 cols = [c.strip() for c in line.split(",")]
                 if cols[:4] != ["beta_db", "p_c", "std_err", "label"]:
                     raise DataError(f"line {lineno}: expected curve header, got {line!r}")
+                n_cols = len(cols)
                 header_seen = True
                 continue
             parts = line.split(",")
-            if len(parts) < 4:
-                raise DataError(f"line {lineno}: expected at least 4 columns")
+            if len(parts) < n_cols:
+                raise DataError(f"line {lineno}: expected at least {n_cols} columns")
             try:
                 beta = float(parts[0])
                 p = float(parts[1])
                 se = float(parts[2]) if parts[2] != "" else None
             except ValueError:
                 raise DataError(f"line {lineno}: could not parse curve row {line!r}")
-            by_label.setdefault(parts[3], []).append((beta, p, se))
+            label = ",".join(parts[3:len(parts) - (n_cols - 4)])
+            by_label.setdefault(label, []).append((beta, p, se))
     if not by_label:
         raise DataError(f"{path}: no curve rows found")
     curves = []

@@ -53,12 +53,12 @@ class Window:
     margin: float = 0.0
 
     def __post_init__(self):
-        if not (self.width > 0 and self.height > 0):
-            raise ParameterError("window width and height must be > 0")
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+            raise ParameterError("window width and height must be finite and > 0")
         if self.edge not in (EDGE_TOROIDAL, EDGE_GUARD):
             raise ParameterError(f"unknown edge policy {self.edge!r}")
-        if self.margin < 0:
-            raise ParameterError("guard margin must be >= 0")
+        if not 0 <= self.margin < math.inf:
+            raise ParameterError("guard margin must be finite and >= 0")
         if self.edge == EDGE_GUARD and 2 * self.margin >= min(self.width, self.height):
             raise ParameterError("guard margin leaves no interior")
 
@@ -123,10 +123,10 @@ class MhcParams:
     d: float
 
     def __post_init__(self):
-        if not self.lambda_p > 0:
-            raise ParameterError("lambda_p must be > 0")
-        if self.d < 0:
-            raise ParameterError("d must be >= 0")
+        if not (math.isfinite(self.lambda_p) and self.lambda_p > 0):
+            raise ParameterError("lambda_p must be finite and > 0")
+        if not (math.isfinite(self.d) and self.d >= 0):
+            raise ParameterError("d must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -363,8 +363,8 @@ class PppSource:
     fixed: bool = field(default=False, init=False)
 
     def __post_init__(self):
-        if not self.lambda_p > 0:
-            raise ParameterError("lambda_p must be > 0")
+        if not (math.isfinite(self.lambda_p) and self.lambda_p > 0):
+            raise ParameterError("lambda_p must be finite and > 0")
 
     @property
     def label(self) -> str:

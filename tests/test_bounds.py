@@ -17,7 +17,7 @@ from stochgeo import (
     mhc_density,
     pgfl_bound_check,
 )
-from stochgeo.bounds import _ExponentGrids
+from stochgeo.bounds import _ExponentGrids, _outside_disk_integral
 from stochgeo.pointprocess import _rng_for, mhc_realization
 
 CH4 = ChannelParams(alpha=4.0, sigma2=0.1)
@@ -32,12 +32,10 @@ def test_quadconfig_validation_and_scaling():
         QuadConfig(n_r=8)
     with pytest.raises(ParameterError):
         QuadConfig(r_max=0.0)
-    with pytest.raises(ParameterError):
-        QuadConfig(upsilon_tail_tol=1.5)
     q = QuadConfig(n_r=32, n_theta=64, n_upsilon=64)
     q2 = q.scaled(2)
     assert (q2.n_r, q2.n_theta, q2.n_upsilon) == (64, 128, 128)
-    assert q2.r_max == q.r_max and q2.upsilon_tail_tol == q.upsilon_tail_tol
+    assert q2.r_max == q.r_max
 
 
 def test_kernel_reference_values():
@@ -145,14 +143,40 @@ def test_exponent_phi_invariance():
 
 
 def test_exponent_tail_control():
+    # the far term is closed form plus a compact grid: nothing is truncated
     params = MhcParams(3.0, 0.5)
     quad_cfg = QuadConfig()
     for r in (0.2, 0.44):
         for beta in (1.0, 10.0, 100.0):
             res = interference_exponent(BoundKind.PROPOSITION1, r, 0.0, beta,
                                         CH4, params, quad_cfg)
-            assert res.tail_estimate <= quad_cfg.upsilon_tail_tol * res.far
+            assert res.tail_estimate == 0.0
+            assert res.upsilon_max == 2 * params.d
             assert res.n_clamped == 0  # nondegenerate geometry reports none
+
+
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 6.0])
+@pytest.mark.parametrize("beta", [1e-3, 1.0, 1e3])
+def test_outside_disk_closed_form_matches_quadrature(alpha, beta):
+    r = 0.7
+    kernels = {BoundKind.THEOREM1: lambda R: np.log1p(beta * (r / R) ** alpha),
+               BoundKind.PROPOSITION1: lambda R: 1.0 / (1.0 + (R / r) ** alpha / beta)}
+    for kind, kernel in kernels.items():
+        ref = 2 * math.pi * quad(lambda R: kernel(R) * R, r, np.inf, epsabs=0,
+                                 epsrel=1e-13, limit=1000)[0]
+        assert _outside_disk_integral(kind, r, beta, alpha) == pytest.approx(ref, rel=1e-10)
+
+
+def test_outside_disk_closed_form_arctan_at_alpha_4():
+    r = 0.7
+    beta = np.array([1e-3, 0.5, 1.0, 10.0, 1e3])
+    sq = np.sqrt(beta)
+    ratio = math.pi * r * r * sq * np.arctan(sq)
+    log = math.pi * r * r * (2 * sq * np.arctan(sq) - np.log1p(beta))
+    assert np.allclose(_outside_disk_integral(BoundKind.PROPOSITION1, r, beta, 4.0), ratio,
+                       rtol=1e-12, atol=0)
+    assert np.allclose(_outside_disk_integral(BoundKind.THEOREM1, r, beta, 4.0), log,
+                       rtol=1e-12, atol=0)
 
 
 def test_exponent_empty_shell_when_cutoff_covers_it():

@@ -61,7 +61,7 @@ _config_int = st.integers() | st.none()
     edge=_config_text | st.none(), beta_db=_config_text | st.none(),
     kind=_config_text | st.none(), lambda_p=_config_float, d=_config_float,
     margin=_config_float, alpha=_config_float, sigma2=_config_float, p_t=_config_float,
-    r_max=_config_float, tail_tol=_config_float, n_points=_config_int,
+    r_max=_config_float, n_points=_config_int,
     trials=_config_int, seed=_config_int, n_r=_config_int, n_theta=_config_int,
     n_upsilon=_config_int, with_sim=_config_int))
 def test_config_lines_round_trip_through_parse_kv_comments(cfg):
@@ -169,6 +169,34 @@ def test_cli_multi_source_rerun(tmp_path):
     assert numeric_lines(out1) == numeric_lines(out2)
 
 
+def test_curves_csv_round_trips_comma_labels_with_gap_column(tmp_path):
+    beta = np.array([0.0, 5.0])
+    sim = CoverageCurve(beta, np.array([0.6, 0.4]), np.array([0.01, 0.02]),
+                        "mhc(lambda_p=2,d=0.4)")
+    bound = CoverageCurve(beta, np.array([0.5, 0.3]), None, "a,b,c")
+    path = tmp_path / "gap.csv"
+    write_curves_csv(path, [sim, bound], {"seed": "1"},
+                     gaps={"a,b,c": np.array([0.1, 0.1])})
+    curves, _ = read_curves_csv(path)
+    got = {c.label: c for c in curves}
+    assert list(got) == ["mhc(lambda_p=2,d=0.4)", "a,b,c"]
+    assert np.array_equal(got["mhc(lambda_p=2,d=0.4)"].std_err, sim.std_err)
+    assert np.array_equal(got["a,b,c"].p_c, bound.p_c)
+    assert got["a,b,c"].std_err is None
+
+
+def test_cli_fit_targets_comma_label(tmp_path, capsys):
+    sim = tmp_path / "sim.csv"
+    assert run(["simulate", "--source", "mhc:lambda_p=2,d=0.4,window=12x12",
+                "--beta-db", "0:5:10", "--trials", "200", "--seed", "3",
+                "--threads", "1", "-o", str(sim)]) == 0
+    code = run(["fit", "--target", str(sim), "--target-label", "mhc(lambda_p=2,d=0.4)",
+                "--lambda-p-grid", "2", "--d-grid", "0.4", "--window", "12x12",
+                "--trials", "200", "--seed", "3", "--threads", "1"])
+    assert code == 0
+    assert "best lambda_p=2 d=0.4 mse=0" in capsys.readouterr().out
+
+
 def test_cli_simulate_multiple_sources(tmp_path):
     out = tmp_path / "multi.csv"
     assert run(["simulate",
@@ -202,6 +230,55 @@ def test_cli_bound_rerun_bit_identical(tmp_path):
     assert run(args + ["-o", str(out1)]) == 0
     assert run(["bound", "--config", str(out1), "-o", str(out2)]) == 0
     assert numeric_lines(out1) == numeric_lines(out2)
+
+
+def test_cli_bound_config_ignores_tail_tol(tmp_path):
+    # configs written before the far field went closed form carry tail_tol
+    args = ["bound", "--kind", "proposition1", "--lambda-p", "2", "--d", "0.4",
+            "--beta-db", "0:5:10", "--n-r", "16", "--n-theta", "32", "--n-upsilon", "32"]
+    fresh = tmp_path / "fresh.csv"
+    assert run(args + ["-o", str(fresh)]) == 0
+    old = tmp_path / "old.csv"
+    old.write_text("# tail_tol=0.001\n" + fresh.read_text())
+    rerun = tmp_path / "rerun.csv"
+    assert run(["bound", "--config", str(old), "-o", str(rerun)]) == 0
+    assert numeric_lines(rerun) == numeric_lines(fresh)
+    assert "tail_tol" not in read_config(rerun)
+
+
+def test_cli_bound_tail_tol_flag_is_gone(capsys):
+    assert run(["bound", "--lambda-p", "2", "--d", "0.4", "--tail-tol", "1e-3"]) == 2
+
+
+def test_cli_bound_bad_config_kind_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "k.cfg"
+    cfg.write_text("lambda_p=3\nd=0.5\nkind=foo\n")
+    assert run(["bound", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "kind" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--source", "ppp:lambda_p=inf", "--window", "6x6", "--trials", "1"],
+    ["simulate", "--source", "ppp", "--lambda-p", "inf", "--trials", "1"],
+    ["simulate", "--source", "mhc:lambda_p=2,d=nan", "--window", "6x6", "--trials", "1"],
+    ["simulate", "--source", "ppp:lambda_p=1", "--window", "6x6", "--trials", "1",
+     "--sigma2", "inf"],
+    ["simulate", "--source", "ppp:lambda_p=1", "--window", "6x6", "--trials", "1",
+     "--alpha", "inf"],
+    ["simulate", "--source", "ppp:lambda_p=1", "--window", "6x6", "--trials", "1",
+     "--p-t", "inf"],
+    ["simulate", "--source", "grid:n=4,margin=nan", "--window", "6x6", "--trials", "1"],
+    ["simulate", "--source", "ppp:lambda_p=1", "--window", "infx5", "--trials", "1"],
+    ["bound", "--lambda-p", "inf", "--d", "0.5"],
+    ["bound", "--lambda-p", "3", "--d", "nan"],
+    ["sample", "mhc", "--lambda-p", "3", "--d", "inf", "--window", "6x6"],
+])
+def test_cli_non_finite_parameter_is_a_usage_error(argv, capsys):
+    assert run(argv + ["--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "finite" in err
 
 
 def test_cli_bound_quad_scale(tmp_path):
@@ -351,7 +428,7 @@ def test_cli_bad_inline_source_is_a_usage_error(spec, capsys):
 
 
 _SOURCE_KEYS = ["lambda_p", "d", "n", "path", "window", "edge", "margin", "junk", ""]
-_SOURCE_VALUES = ["abc", "", "2.5", "-1", "0", "1", "0.4"]
+_SOURCE_VALUES = ["abc", "", "2.5", "-1", "0", "1", "0.4", "inf", "nan"]
 
 
 @pytest.mark.filterwarnings("ignore")
