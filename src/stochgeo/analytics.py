@@ -142,7 +142,8 @@ def _realizations(params: MhcParams, window: Window, n_realizations: int, seed: 
 def void_probability_empirical(params: MhcParams, r: float, n_realizations: int,
                                seed: int, window: Window | None = None) -> VoidEstimate:
     """Monte Carlo estimate of P[no retained point within distance r of a
-    uniform test location], one test location per realization."""
+    uniform test location], one test location per realization: the share of
+    nearest_distance_samples beyond r, on a torus sized for r by default."""
     if not r > 0:
         raise ParameterError("r must be > 0")
     if n_realizations < 1:
@@ -150,15 +151,10 @@ def void_probability_empirical(params: MhcParams, r: float, n_realizations: int,
     if n_realizations < 30:
         warnings.warn(f"void probability from only {n_realizations} realizations; "
                       "standard error is unreliable", stacklevel=2)
-    seed = _check_seed(seed)
     if window is None:
         window = default_torus(params, extent=r)
-    hits = 0
-    for rng, pts in _realizations(params, window, n_realizations, seed):
-        loc = rng.uniform(0.0, 1.0, 2) * (window.width, window.height)
-        if len(pts) == 0 or window.distances(loc, pts).min() > r:
-            hits += 1
-    p = hits / n_realizations
+    samples = nearest_distance_samples(params, n_realizations, seed, window)
+    p = np.count_nonzero(samples > r) / n_realizations
     se = math.sqrt(p * (1.0 - p) / n_realizations)
     return VoidEstimate(p, se)
 
@@ -224,6 +220,8 @@ def pair_density_empirical(params: MhcParams, upsilons, n_realizations: int,
         raise ParameterError("upsilons must be > 0")
     if window is None:
         window = default_torus(params, extent=float(ups.max()))
+    if not window.toroidal:
+        raise ParameterError("pair density estimation requires a toroidal window")
     if halfwidth is None:
         halfwidth = 0.02 * params.d if params.d > 0 else 0.02 * float(ups.min())
     edges = np.concatenate([ups - halfwidth, ups + halfwidth])

@@ -8,12 +8,16 @@ pair density. They differ only in the kernel:
   theorem1:      log(1 + x)        (Jensen route)
   proposition1:  x / (1 + x)       (PGFL-inequality route, the tighter one)
 
-with x = beta * (r^2 / R_x^2)^(alpha/2) and R_x the user-to-interferer
-distance. Beyond 2d the pair density is flat (lambda_m^2), so the far term is
-lambda_m times the Poisson integral over {R_x >= r}, which has a closed form
+with x = beta * (r/R)^alpha and R the user-to-interferer distance, so the
+kernel depends on R alone. Both integrals run over {R >= r} in polar
+coordinates (R, psi) around the user, psi measured from the direction of the
+serving station; an interferer there lies upsilon = sqrt(R^2 + r^2 -
+2 R r cos psi) from the station. Where d <= upsilon < 2d (the near shell) the pair density varies;
+beyond 2d it is flat (lambda_m^2), so the far term is lambda_m times the
+Poisson integral over {R >= r}, which has a closed form
 (Andrews-Baccelli-Ganti), minus the same integral over the compact part
-{R_x >= r, upsilon < 2d}. The near shell and that compact part are evaluated
-with composite trapezoidal rules on polar grids around the serving station.
+{R >= r, upsilon < 2d}. Integrating psi out leaves one radial weight per part
+and serving distance, and each threshold costs two 1-D trapezoids over R.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ from .coverage import ChannelParams, CoverageCurve, beta_db_to_linear
 from .errors import DataError, ParameterError
 from .pointprocess import MhcParams, Window, _check_seed
 
-# Floor applied to squared user-to-interferer distances (degenerate collinear
-# geometry); activations are counted and reported.
+# Floor applied to squared user-to-interferer distances in
+# interference_kernel (an interferer placed on the user).
 R2_EPS = 1e-12
 
 
@@ -51,11 +55,11 @@ class BoundKind(str, Enum):
 class QuadConfig:
     """Grid resolutions for the bound integrals.
 
-    n_r points for the serving distance (clustered near 0), n_theta for the
-    interferer angle, n_upsilon per angle on each upsilon grid (the near
-    shell and the compact part of the far term). r_max of None truncates the
-    serving-distance integral where the empty-space CDF mass left behind is
-    ~1e-11.
+    n_r points for the serving distance (clustered near 0), n_upsilon
+    log-spaced radial nodes for the user-to-interferer distance R on
+    [max(r, d - r), r + 2d], and n_theta angular nodes per radial node across
+    the near shell. r_max of None truncates the serving-distance integral
+    where the empty-space CDF mass left behind is ~1e-11.
     """
 
     n_r: int = 128
@@ -84,13 +88,11 @@ def _pow_alpha_half(base: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _geometry(r: float, upsilon: np.ndarray, cos_angle: np.ndarray,
-              alpha: float) -> tuple[np.ndarray, int]:
+              alpha: float) -> np.ndarray:
     """(r^2/R_x^2)^(alpha/2) for interferers at (upsilon, angle) from the
-    serving station, with R_x^2 floored at R2_EPS, and the count of floored
-    entries."""
+    serving station, with R_x^2 floored at R2_EPS."""
     R2 = upsilon * upsilon + r * r - 2.0 * r * upsilon * cos_angle
-    n_clamped = int(np.count_nonzero(R2 < R2_EPS))
-    return _pow_alpha_half(r * r / np.maximum(R2, R2_EPS), alpha), n_clamped
+    return _pow_alpha_half(r * r / np.maximum(R2, R2_EPS), alpha)
 
 
 def interference_kernel(kind: BoundKind, r: float, upsilon, angle, beta_linear: float,
@@ -105,8 +107,8 @@ def interference_kernel(kind: BoundKind, r: float, upsilon, angle, beta_linear: 
     kind = BoundKind(kind)
     if beta_linear < 0:
         raise ParameterError("beta_linear must be >= 0")
-    geom, _ = _geometry(r, np.asarray(upsilon, dtype=float),
-                        np.cos(np.asarray(angle, dtype=float)), alpha)
+    geom = _geometry(r, np.asarray(upsilon, dtype=float),
+                     np.cos(np.asarray(angle, dtype=float)), alpha)
     out = _kernel_from_geometry(kind, geom, beta_linear)
     return float(out) if out.ndim == 0 else out
 
@@ -142,98 +144,82 @@ def _outside_disk_integral(kind: BoundKind, r: float, beta_lin, alpha: float):
 
 
 class _ExponentGrids:
-    """Reusable geometry for the interference exponents at one (r, phi).
+    """Radial weights for the interference exponents at one serving distance r.
 
-    The kernel factorizes as K(beta * geom) with geom = (r^2/R_x^2)^(alpha/2)
-    independent of beta, so the expensive trigonometric grids are built once
-    and swept over every threshold.
+    In polar coordinates (R, psi) around the user the kernel is
+    K(beta * geom) with geom = (r/R)^alpha, so psi integrates out into one
+    weight per part, built once per r and reused for every threshold and both
+    kinds. psi_s(R) is the half-angle within which interferers at distance R
+    from the user lie closer than s to the serving station.
+
+      near weight:    2R * int_{psi_d}^{psi_2d} rho2(upsilon) / lambda_m dpsi
+      compact weight: 2R * psi_2d(R)
+
+    Both live on R in [r0, r + 2d] with r0 = max(r, d - r): closer than d - r
+    every interferer lies within d of the station, where the near weight is
+    zero and the compact part cancels the closed form exactly.
     """
 
-    def __init__(self, r: float, phi: float, ch: ChannelParams, params: MhcParams,
-                 quad: QuadConfig):
+    def __init__(self, r: float, ch: ChannelParams, params: MhcParams, quad: QuadConfig):
         if not r > 0:
             raise ParameterError("r must be > 0")
         if not ch.alpha > 2:
             raise ParameterError("alpha must be > 2 (far integral diverges)")
-        self.r = r
         self.alpha = ch.alpha
         self.lam_m = mhc_density(params)
-        self.n_clamped = 0
-
         d = params.d
-        theta = np.linspace(0.0, 2.0 * math.pi, quad.n_theta + 1)
-        self.theta = theta
-        psi = theta - phi
-        # interferers must be farther from the user than the serving station;
-        # in these polar coordinates that excludes upsilon < 2 r cos(psi) on
-        # the user-facing half-plane only
-        cutoff = np.maximum(2.0 * r * np.cos(psi), 0.0)
-        self.cos_psi = np.cos(psi)
-        s = np.linspace(0.0, 1.0, quad.n_upsilon)
+        self.r0 = max(r, d - r)
+        R = np.geomspace(self.r0, r + 2.0 * d, quad.n_upsilon)
+        self.R = R
+        self.geom = _pow_alpha_half((r / R) ** 2, self.alpha)
 
-        def segment(lo):  # upsilon grid from lo(theta) out to 2d
-            return lo[:, None] + (2.0 * d - lo)[:, None] * s[None, :]
+        def psi(s):
+            return np.arccos(np.clip((R * R + r * r - s * s) / (2.0 * R * r), -1.0, 1.0))
 
-        # near segment: partial pair correlation between d and 2d
-        self.near = None
-        if d > 0:
-            ups = segment(np.minimum(np.maximum(d, cutoff), 2.0 * d))
-            rho2 = SecondOrderDensity(params)(ups.ravel()).reshape(ups.shape)
-            self.near = (ups, self._geom(ups), rho2 * ups / self.lam_m)
-
-        # compact part {R_x >= r, upsilon < 2d} of the closed-form far integral
-        ups = segment(np.minimum(cutoff, 2.0 * d))
-        self.compact = (ups, self._geom(ups), ups)
-
-    def _geom(self, ups: np.ndarray) -> np.ndarray:
-        geom, n_clamped = _geometry(self.r, ups, self.cos_psi[:, None], self.alpha)
-        self.n_clamped += n_clamped
-        return geom
-
-    def _sweep(self, kind: BoundKind, beta_lin: np.ndarray, grid) -> np.ndarray:
-        """Trapezoid integral of kernel * weight over one polar grid, per beta."""
-        ups, geom, weight = grid
-        out = np.zeros(beta_lin.shape)
-        for i, b in enumerate(beta_lin):
-            if b == 0.0:
-                continue
-            inner = np.trapezoid(_kernel_from_geometry(kind, geom, b) * weight, x=ups, axis=1)
-            out[i] = np.trapezoid(inner, x=self.theta)
-        return out
+        psi_d, psi_2d = psi(d), psi(2.0 * d)
+        t = np.linspace(0.0, 1.0, quad.n_theta)
+        angle = psi_d[:, None] + (psi_2d - psi_d)[:, None] * t[None, :]
+        ups2 = R[:, None] ** 2 + r * r - 2.0 * r * R[:, None] * np.cos(angle)
+        # the band edges are d and 2d by construction; clipping keeps rounding
+        # off the zero branch of rho2 below d
+        ups = np.sqrt(np.clip(ups2, d * d, 4.0 * d * d))
+        rho2 = SecondOrderDensity(params)(ups.ravel()).reshape(ups.shape)
+        self.near_weight = 2.0 * R * np.trapezoid(rho2, x=angle, axis=1) / self.lam_m
+        self.compact_weight = 2.0 * R * psi_2d
 
     def evaluate(self, kind: BoundKind, beta_lin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(near, far) arrays over beta_lin."""
         kind = BoundKind(kind)
         beta_lin = np.asarray(beta_lin, dtype=float)
-        near = (np.zeros(beta_lin.shape) if self.near is None
-                else self._sweep(kind, beta_lin, self.near))
-        far = self.lam_m * (_outside_disk_integral(kind, self.r, beta_lin, self.alpha)
-                            - self._sweep(kind, beta_lin, self.compact))
-        return near, far
+        kernel = _kernel_from_geometry(kind, self.geom[None, :], beta_lin[:, None])
+        near = np.trapezoid(kernel * self.near_weight, x=self.R, axis=1)
+        compact = np.trapezoid(kernel * self.compact_weight, x=self.R, axis=1)
+        # K(beta (r/R)^alpha) = K(beta geom[0] (r0/R)^alpha): the closed form at r0
+        outside = _outside_disk_integral(kind, self.r0, beta_lin * self.geom[0], self.alpha)
+        return near, self.lam_m * (outside - compact)
 
 
 def interference_exponent(kind: BoundKind, r: float, phi: float, beta_linear: float,
                           ch: ChannelParams, params: MhcParams,
                           quad: QuadConfig | None = None) -> ExponentResult:
-    """Near/far interference exponents at serving distance r and user angle phi.
+    """Near/far interference exponents at serving distance r.
 
-    near: integral over the partial-correlation shell [max(d, cutoff),
-    max(2d, cutoff)]; far: integral over upsilon >= max(2d, cutoff), taken as
-    lambda_m times the closed form over {R_x >= r} minus the trapezoid
-    integral over [min(cutoff, 2d), 2d]. cutoff = 2 r cos(theta - phi) where
-    positive (the no-closer-interferer region), so the shell can be empty.
+    near: integral over the pair-correlation shell d <= upsilon < 2d;
+    far: integral over upsilon >= 2d, taken as lambda_m times the closed form
+    over {R >= r0} minus a trapezoid over its compact part upsilon < 2d. Both
+    exclude interferers closer to the user than the serving station (R < r).
 
-    upsilon_max is 2d, the outer edge of both grids, and tail_estimate is 0.0
-    since nothing is truncated; both stay because perfbench/probes.py reads
-    them.
+    phi, the user angle, is unused: the integral is invariant under rotation.
+    n_clamped is always 0 (R >= r0 > 0 on the grid), upsilon_max is 2d and
+    tail_estimate is 0.0 since nothing is truncated; the fields stay because
+    perfbench/probes.py reads them.
     """
     quad = quad or QuadConfig()
     if beta_linear < 0:
         raise ParameterError("beta_linear must be >= 0")
-    grids = _ExponentGrids(r, phi, ch, params, quad)
+    grids = _ExponentGrids(r, ch, params, quad)
     near, far = grids.evaluate(kind, np.asarray([beta_linear]))
-    return ExponentResult(float(near[0]), float(far[0]), 2.0 * params.d, 0.0,
-                          grids.n_clamped)
+    return ExponentResult(float(near[0]), float(far[0]), 2.0 * params.d, 0.0, 0)
 
 
 def coverage_bound(kind: BoundKind, ch: ChannelParams, params: MhcParams,
@@ -242,9 +228,7 @@ def coverage_bound(kind: BoundKind, ch: ChannelParams, params: MhcParams,
     """Lower bound on Matern hardcore coverage over a threshold grid.
 
     Integrates empty_space_pdf(r) * exp(-gamma*beta*sigma2*r^alpha) *
-    exp(-(near+far)) over r on [0, r_max] with a grid clustered near 0. The
-    integrand depends on the user angle only through theta - phi, so the
-    angular average is taken once at phi = 0.
+    exp(-(near+far)) over r on [0, r_max] with a grid clustered near 0.
     """
     kind = BoundKind(kind)
     quad = quad or QuadConfig()
@@ -262,7 +246,7 @@ def coverage_bound(kind: BoundKind, ch: ChannelParams, params: MhcParams,
     for j, r in enumerate(r_grid):
         if r == 0.0:
             continue  # zero weight: empty_space_pdf(0) = 0
-        grids = _ExponentGrids(float(r), 0.0, ch, params, quad)
+        grids = _ExponentGrids(float(r), ch, params, quad)
         near, far = grids.evaluate(kind, beta_lin)
         mu[:, j] = near + far
 

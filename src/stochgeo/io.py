@@ -143,11 +143,14 @@ def write_curves_csv(path, curves, config: dict[str, str] | None = None,
 
 def read_curves_csv(path) -> tuple[list[CoverageCurve], dict[str, str]]:
     """Parse a curves CSV back into CoverageCurve objects plus the embedded
-    config. Curves keep file order. Labels are written unquoted and may hold
-    commas, so a row's label is everything between std_err and the trailing
-    columns the header declares after `label`; those columns are ignored."""
+    config. Curves keep file order. A new curve starts wherever the label
+    differs from the previous row's or beta_db stops increasing, so two
+    curves that share a label stay apart. Labels are written unquoted and
+    may hold commas, so a row's label is everything between std_err and the
+    trailing columns the header declares after `label`; those columns are
+    ignored."""
     config = {}
-    by_label: dict[str, list[tuple[float, float, float | None]]] = {}
+    runs: list[tuple[str, list[tuple[float, float, float | None]]]] = []
     header_seen = False
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -174,11 +177,13 @@ def read_curves_csv(path) -> tuple[list[CoverageCurve], dict[str, str]]:
             except ValueError:
                 raise DataError(f"line {lineno}: could not parse curve row {line!r}")
             label = ",".join(parts[3:len(parts) - (n_cols - 4)])
-            by_label.setdefault(label, []).append((beta, p, se))
-    if not by_label:
+            if not runs or runs[-1][0] != label or beta <= runs[-1][1][-1][0]:
+                runs.append((label, []))
+            runs[-1][1].append((beta, p, se))
+    if not runs:
         raise DataError(f"{path}: no curve rows found")
     curves = []
-    for label, rows in by_label.items():
+    for label, rows in runs:
         beta = np.array([r[0] for r in rows])
         p = np.array([r[1] for r in rows])
         ses = [r[2] for r in rows]

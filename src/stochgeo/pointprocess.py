@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -23,6 +23,10 @@ EDGE_GUARD = "guard"
 
 # Clamp on user-to-station distances; avoids the r**-alpha singularity.
 R_MIN_KM = 1e-6
+
+# Cap on the expected point count of one Poisson draw (about 320 MB of
+# coordinates at the cap); larger requests are rejected before any draw.
+MAX_EXPECTED_POINTS = 1e7
 
 
 def default_torus_side(density: float, hardcore_d: float = 0.0,
@@ -170,7 +174,11 @@ def ppp_points(rng: np.random.Generator, lambda_p: float, xmin: float, xmax: flo
     """Homogeneous Poisson realization on a rectangle: Poisson count, uniform
     coordinates. Draw order (count, x block, y block) is part of the
     reproducibility contract."""
-    n = rng.poisson(lambda_p * (xmax - xmin) * (ymax - ymin))
+    mean = lambda_p * (xmax - xmin) * (ymax - ymin)
+    if not mean <= MAX_EXPECTED_POINTS:
+        raise ParameterError(f"expected {mean:.3g} points per realization exceeds the cap "
+                             f"of {MAX_EXPECTED_POINTS:g}; lower the density or the window")
+    n = rng.poisson(mean)
     x = rng.uniform(xmin, xmax, n)
     y = rng.uniform(ymin, ymax, n)
     return np.column_stack([x, y])
@@ -360,7 +368,6 @@ class PppSource:
 
     lambda_p: float
     window: Window
-    fixed: bool = field(default=False, init=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.lambda_p) and self.lambda_p > 0):
@@ -385,7 +392,6 @@ class MhcSource:
 
     params: MhcParams
     window: Window
-    fixed: bool = field(default=False, init=False)
 
     @property
     def label(self) -> str:
@@ -409,7 +415,6 @@ class FixedSource:
     """Same station locations every trial (grid or loaded deployment)."""
 
     point_set: PointSet
-    fixed: bool = field(default=True, init=False)
 
     @property
     def label(self) -> str:

@@ -9,11 +9,13 @@ from stochgeo import (
     ParameterError,
     SecondOrderDensity,
     Window,
+    default_torus,
     disc_union_area,
     empty_space_cdf,
     empty_space_ks,
     empty_space_pdf,
     mhc_density,
+    nearest_distance_samples,
     pair_density_empirical,
     retention_probability,
     second_order_density,
@@ -181,6 +183,19 @@ def test_void_probability_large_radius():
 def test_void_probability_matches_exponential_form():
     est = void_probability_empirical(MhcParams(1.0, 0.5), 0.5, 800, seed=77)
     assert abs(est.probability - VOID_REF_1_05_R05) < 3 * est.std_error
+
+
+def test_void_probability_is_share_of_nearest_distances_beyond_r():
+    params, r, n = MhcParams(1.0, 0.5), 0.5, 120
+    est = void_probability_empirical(params, r, n, seed=77)
+    samples = nearest_distance_samples(params, n, 77, default_torus(params, extent=r))
+    assert est.probability == np.count_nonzero(samples > r) / n
+
+
+def test_pair_density_rejects_guard_window():
+    with pytest.raises(ParameterError, match="toroidal"):
+        pair_density_empirical(MhcParams(1.0, 0.5), [0.6], 2, seed=1,
+                               window=Window(20.0, 20.0, edge="guard"))
 
 
 def test_void_probability_warns_when_underpowered():

@@ -180,9 +180,8 @@ def test_outside_disk_closed_form_arctan_at_alpha_4():
 
 
 def test_exponent_empty_shell_when_cutoff_covers_it():
-    # large r: the geometric cutoff exceeds 2d at every angle with cos > 0,
-    # but angles with cos <= 0 keep the shell active; compare against a plain
-    # shell-free variant only in the near field sense: shell contribution is
+    # large r: interferers nearer the user than the station can never sit in
+    # the station's shell, but those behind it can; the shell contribution is
     # finite and the far term dominates
     params = MhcParams(3.0, 0.5)
     res = interference_exponent(BoundKind.PROPOSITION1, 3.0, 0.0, 10.0, CH4, params)
@@ -190,10 +189,28 @@ def test_exponent_empty_shell_when_cutoff_covers_it():
     assert res.far > res.near
 
 
+def test_exponent_node_sweep_far_nonnegative_and_kinds_ordered():
+    # default grids, 40 serving distances x 9 thresholds: the far term is an
+    # integral of a nonnegative kernel, and the log kernel dominates the ratio
+    # kernel pointwise, so theorem1's exponent is never below proposition1's
+    params = MhcParams(3.0, 0.5)
+    betas = 10.0 ** (np.arange(-10.0, 31.0, 5.0) / 10.0)
+    bad = []
+    for r in np.geomspace(1e-3, 3.0, 40):
+        for beta in betas:
+            res = {kind: interference_exponent(kind, float(r), 0.0, float(beta), CH4, params)
+                   for kind in BoundKind}
+            th1, prop1 = res[BoundKind.THEOREM1], res[BoundKind.PROPOSITION1]
+            if (th1.far < 0 or prop1.far < 0
+                    or th1.near + th1.far < prop1.near + prop1.far):
+                bad.append((float(r), float(beta)))
+    assert bad == []
+
+
 def test_exponent_alpha_at_most_2_rejected():
     with pytest.raises(ParameterError):
         ChannelParams(alpha=2.0, sigma2=0.1)
-    grids_ok = _ExponentGrids(0.5, 0.0, CH4, MhcParams(1.0, 0.1), QuadConfig())
+    grids_ok = _ExponentGrids(0.5, CH4, MhcParams(1.0, 0.1), QuadConfig())
     assert grids_ok.lam_m > 0
 
 

@@ -185,6 +185,42 @@ def test_curves_csv_round_trips_comma_labels_with_gap_column(tmp_path):
     assert got["a,b,c"].std_err is None
 
 
+def test_curves_csv_keeps_same_label_curves_apart(tmp_path):
+    first = CoverageCurve(np.array([0.0, 5.0]), np.array([0.7, 0.4]), None, "grid(n=25)")
+    second = CoverageCurve(np.array([0.0, 5.0]), np.array([0.6, 0.3]), None, "grid(n=25)")
+    other = CoverageCurve(np.array([0.0]), np.array([0.5]), None, "x")
+    path = tmp_path / "dup.csv"
+    write_curves_csv(path, [first, other, first, second], {"seed": "1"})
+    curves, _ = read_curves_csv(path)
+    assert [c.label for c in curves] == ["grid(n=25)", "x", "grid(n=25)", "grid(n=25)"]
+    assert [c.p_c.tolist() for c in curves] == [[0.7, 0.4], [0.5], [0.7, 0.4], [0.6, 0.3]]
+
+
+@pytest.mark.filterwarnings("ignore")
+def test_cli_fit_on_same_label_sources_uses_the_first(tmp_path, capsys):
+    dup = tmp_path / "dup.csv"
+    assert run(["simulate", "--source", "grid:n=24,window=10x10",
+                "--source", "grid:n=24,window=12x12", "--beta-db", "0:5:10",
+                "--trials", "50", "--seed", "3", "--threads", "1", "-o", str(dup)]) == 0
+    curves, _ = read_curves_csv(dup)
+    assert len(curves) == 2 and curves[0].label == curves[1].label
+    code = run(["fit", "--target", str(dup), "--lambda-p-grid", "2", "--d-grid", "0.4",
+                "--window", "10x10", "--trials", "20", "--seed", "3", "--threads", "1"])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("best lambda_p=2 d=0.4 ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--source", "ppp:lambda_p=1e300", "--window", "1x1"],
+    ["--source", "ppp:lambda_p=1e12", "--window", "10x10"],
+])
+def test_cli_huge_expected_point_count_is_a_usage_error(argv, capsys):
+    assert run(["simulate"] + argv + ["--trials", "1", "--seed", "1", "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "cap" in err
+
+
 def test_cli_fit_targets_comma_label(tmp_path, capsys):
     sim = tmp_path / "sim.csv"
     assert run(["simulate", "--source", "mhc:lambda_p=2,d=0.4,window=12x12",

@@ -15,7 +15,13 @@ from stochgeo import (
     sample_mhc,
     sample_ppp,
 )
-from stochgeo.pointprocess import _grid_shape, _rng_for, mhc_realization
+from stochgeo.pointprocess import (
+    MAX_EXPECTED_POINTS,
+    _grid_shape,
+    _rng_for,
+    mhc_realization,
+    ppp_points,
+)
 
 
 def test_window_validation():
@@ -75,6 +81,16 @@ def test_ppp_parameter_errors():
         sample_ppp(0.0, win, 1)
     with pytest.raises(ParameterError):
         sample_ppp(1.0, win, -3)
+
+
+def test_ppp_expected_count_cap_checked_before_any_draw():
+    rng = _rng_for(5)
+    state = rng.bit_generator.state
+    side = math.sqrt(MAX_EXPECTED_POINTS)
+    with pytest.raises(ParameterError, match="cap"):
+        ppp_points(rng, 2.0, 0.0, side, 0.0, side)
+    assert rng.bit_generator.state == state
+    assert len(ppp_points(rng, 1e-3, 0.0, side, 0.0, side)) > 0  # below the cap
 
 
 def test_mhc_d_zero_equals_parent_ppp():
