@@ -20,7 +20,6 @@ from .bounds import (
     QuadConfig,
     coverage_bound,
     interference_exponent,
-    interference_kernel,
     pgfl_bound_check,
 )
 from .coverage import (
@@ -71,7 +70,6 @@ __all__ = [
     "fit_mhc",
     "generate_grid",
     "interference_exponent",
-    "interference_kernel",
     "load_deployment",
     "mhc_density",
     "nearest_distance_samples",

@@ -21,9 +21,12 @@ from .pointprocess import (
     Window,
     _check_seed,
     _rng_for,
-    default_torus_side,
     mhc_realization,
 )
+
+# Minimum side of a study window, in mean station spacings: below it the
+# interference truncated by the window is no longer negligible.
+MIN_WINDOW_SPACINGS = 20.0
 
 
 def retention_probability(params: MhcParams) -> float:
@@ -37,7 +40,10 @@ def retention_probability(params: MhcParams) -> float:
 
 def mhc_density(params: MhcParams) -> float:
     """Retained density lambda_m = p * lambda_p; saturates below 1/(pi d^2)."""
-    return retention_probability(params) * params.lambda_p
+    lam_m = retention_probability(params) * params.lambda_p
+    if not lam_m > 0:
+        raise ParameterError("retained density underflows to 0; lower lambda_p or d")
+    return lam_m
 
 
 def disc_union_area(upsilon, d: float):
@@ -124,8 +130,10 @@ class VoidEstimate(NamedTuple):
 
 def default_torus(params: MhcParams, extent: float = 0.0) -> Window:
     """Square toroidal window sized for stable hardcore statistics: at least
-    20 mean spacings wide and comfortably larger than any probe radius."""
-    side = default_torus_side(mhc_density(params), params.d, extent)
+    MIN_WINDOW_SPACINGS mean spacings wide and comfortably larger than d and
+    any probe radius."""
+    side = max(MIN_WINDOW_SPACINGS / math.sqrt(mhc_density(params)), 8.0 * params.d,
+               4.0 * extent, 1.0)
     return Window(side, side)
 
 
@@ -210,8 +218,6 @@ def pair_density_empirical(params: MhcParams, upsilons, n_realizations: int,
     torus and normalizes by area * 2*pi*u * 2h; the standard error comes from
     the spread across realizations.
     """
-    from scipy.spatial import cKDTree
-
     if n_realizations < 2:
         raise ParameterError("n_realizations must be >= 2")
     seed = _check_seed(seed)
@@ -230,7 +236,7 @@ def pair_density_empirical(params: MhcParams, upsilons, n_realizations: int,
     norm = window.area * 2.0 * math.pi * ups * 2.0 * halfwidth
     per_real = np.empty((n_realizations, len(ups)))
     for i, (_, pts) in enumerate(_realizations(params, window, n_realizations, seed)):
-        tree = cKDTree(pts, boxsize=(window.width, window.height))
+        tree = window.tree(pts)
         cum = tree.count_neighbors(tree, edges[order])[inverse]
         counts = cum[len(ups):] - cum[:len(ups)]  # ordered pairs per bin
         per_real[i] = counts / norm

@@ -8,13 +8,14 @@ pair density. They differ only in the kernel:
   theorem1:      log(1 + x)        (Jensen route)
   proposition1:  x / (1 + x)       (PGFL-inequality route, the tighter one)
 
-with x = beta * (r/R)^alpha and R the user-to-interferer distance, so the
-kernel depends on R alone. Both integrals run over {R >= r} in polar
-coordinates (R, psi) around the user, psi measured from the direction of the
-serving station; an interferer there lies upsilon = sqrt(R^2 + r^2 -
-2 R r cos psi) from the station. Where d <= upsilon < 2d (the near shell) the pair density varies;
-beyond 2d it is flat (lambda_m^2), so the far term is lambda_m times the
-Poisson integral over {R >= r}, which has a closed form
+with x = beta * (r/R)^alpha and R the user-to-interferer distance. The
+kernel depends on R alone; there is no station-centred form of it. Both
+integrals run over {R >= r} in polar coordinates (R, psi) around the user,
+psi measured from the direction of the serving station. Only the pair density
+sees the station: an interferer at (R, psi) lies upsilon = sqrt(R^2 + r^2 -
+2 R r cos psi) from it, the density varies where d <= upsilon < 2d (the near
+shell) and is flat (lambda_m^2) beyond 2d. So the far term is lambda_m times
+the Poisson integral over {R >= r}, which has a closed form
 (Andrews-Baccelli-Ganti), minus the same integral over the compact part
 {R >= r, upsilon < 2d}. Integrating psi out leaves one radial weight per part
 and serving distance, and each threshold costs two 1-D trapezoids over R.
@@ -37,13 +38,9 @@ from .analytics import (
     empty_space_pdf,
     mhc_density,
 )
-from .coverage import ChannelParams, CoverageCurve, beta_db_to_linear
+from .coverage import ChannelParams, CoverageCurve, beta_db_to_linear, threshold_grid
 from .errors import DataError, ParameterError
 from .pointprocess import MhcParams, Window, _check_seed
-
-# Floor applied to squared user-to-interferer distances in
-# interference_kernel (an interferer placed on the user).
-R2_EPS = 1e-12
 
 
 class BoundKind(str, Enum):
@@ -71,11 +68,13 @@ class QuadConfig:
         for name in ("n_r", "n_theta", "n_upsilon"):
             if getattr(self, name) < 16:
                 raise ParameterError(f"{name} must be >= 16")
-        if self.r_max is not None and not self.r_max > 0:
-            raise ParameterError("r_max must be > 0")
+        if self.r_max is not None and not (math.isfinite(self.r_max) and self.r_max > 0):
+            raise ParameterError("r_max must be finite and > 0")
 
     def scaled(self, factor: float) -> "QuadConfig":
-        """Copy with all grid counts multiplied by `factor`."""
+        """Copy with all grid counts multiplied by `factor` (finite, > 0)."""
+        if not (math.isfinite(factor) and factor > 0):
+            raise ParameterError("quadrature scale factor must be finite and > 0")
         return replace(self, n_r=int(round(self.n_r * factor)),
                        n_theta=int(round(self.n_theta * factor)),
                        n_upsilon=int(round(self.n_upsilon * factor)))
@@ -87,32 +86,6 @@ def _pow_alpha_half(base: np.ndarray, alpha: float) -> np.ndarray:
     return base ** (alpha / 2.0)
 
 
-def _geometry(r: float, upsilon: np.ndarray, cos_angle: np.ndarray,
-              alpha: float) -> np.ndarray:
-    """(r^2/R_x^2)^(alpha/2) for interferers at (upsilon, angle) from the
-    serving station, with R_x^2 floored at R2_EPS."""
-    R2 = upsilon * upsilon + r * r - 2.0 * r * upsilon * cos_angle
-    return _pow_alpha_half(r * r / np.maximum(R2, R2_EPS), alpha)
-
-
-def interference_kernel(kind: BoundKind, r: float, upsilon, angle, beta_linear: float,
-                        alpha: float):
-    """Per-interferer kernel at serving distance r, interferer polar
-    coordinates (upsilon, angle) relative to the serving station, where
-    `angle` is measured from the user's direction.
-
-    Returns log(1+x) for theorem1 and x/(1+x) for proposition1, with
-    x = beta * (r/R_x)^alpha; the ratio kernel never exceeds the log kernel.
-    """
-    kind = BoundKind(kind)
-    if beta_linear < 0:
-        raise ParameterError("beta_linear must be >= 0")
-    geom = _geometry(r, np.asarray(upsilon, dtype=float),
-                     np.cos(np.asarray(angle, dtype=float)), alpha)
-    out = _kernel_from_geometry(kind, geom, beta_linear)
-    return float(out) if out.ndim == 0 else out
-
-
 class ExponentResult(NamedTuple):
     near: float
     far: float
@@ -121,7 +94,10 @@ class ExponentResult(NamedTuple):
     n_clamped: int
 
 
-def _kernel_from_geometry(kind: BoundKind, geom: np.ndarray, beta_linear: float) -> np.ndarray:
+def _kernel_from_geometry(kind: BoundKind, geom: np.ndarray, beta_linear) -> np.ndarray:
+    """Per-interferer kernel at geom = (r/R)^alpha: log(1+x) for theorem1 and
+    x/(1+x) for proposition1, with x = beta * geom; the ratio kernel never
+    exceeds the log kernel."""
     x = beta_linear * geom
     if kind is BoundKind.THEOREM1:
         return np.log1p(x)
@@ -143,14 +119,15 @@ def _outside_disk_integral(kind: BoundKind, r: float, beta_lin, alpha: float):
     return 0.5 * alpha * ratio - math.pi * r * r * np.log1p(beta)
 
 
-class _ExponentGrids:
-    """Radial weights for the interference exponents at one serving distance r.
+def _exponents(kind: BoundKind, r: float, beta_lin: np.ndarray, ch: ChannelParams,
+               params: MhcParams, quad: QuadConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(near, far) interference exponents at serving distance r over beta_lin.
 
     In polar coordinates (R, psi) around the user the kernel is
     K(beta * geom) with geom = (r/R)^alpha, so psi integrates out into one
-    weight per part, built once per r and reused for every threshold and both
-    kinds. psi_s(R) is the half-angle within which interferers at distance R
-    from the user lie closer than s to the serving station.
+    weight per part, shared by every threshold. psi_s(R) is the half-angle
+    within which interferers at distance R from the user lie closer than s to
+    the serving station.
 
       near weight:    2R * int_{psi_d}^{psi_2d} rho2(upsilon) / lambda_m dpsi
       compact weight: 2R * psi_2d(R)
@@ -159,44 +136,36 @@ class _ExponentGrids:
     every interferer lies within d of the station, where the near weight is
     zero and the compact part cancels the closed form exactly.
     """
+    if not r > 0:
+        raise ParameterError("r must be > 0")
+    kind = BoundKind(kind)
+    lam_m = mhc_density(params)
+    d = params.d
+    r0 = max(r, d - r)
+    R = np.geomspace(r0, r + 2.0 * d, quad.n_upsilon)
+    geom = _pow_alpha_half((r / R) ** 2, ch.alpha)
 
-    def __init__(self, r: float, ch: ChannelParams, params: MhcParams, quad: QuadConfig):
-        if not r > 0:
-            raise ParameterError("r must be > 0")
-        if not ch.alpha > 2:
-            raise ParameterError("alpha must be > 2 (far integral diverges)")
-        self.alpha = ch.alpha
-        self.lam_m = mhc_density(params)
-        d = params.d
-        self.r0 = max(r, d - r)
-        R = np.geomspace(self.r0, r + 2.0 * d, quad.n_upsilon)
-        self.R = R
-        self.geom = _pow_alpha_half((r / R) ** 2, self.alpha)
+    def psi(s):
+        return np.arccos(np.clip((R * R + r * r - s * s) / (2.0 * R * r), -1.0, 1.0))
 
-        def psi(s):
-            return np.arccos(np.clip((R * R + r * r - s * s) / (2.0 * R * r), -1.0, 1.0))
+    psi_d, psi_2d = psi(d), psi(2.0 * d)
+    t = np.linspace(0.0, 1.0, quad.n_theta)
+    angle = psi_d[:, None] + (psi_2d - psi_d)[:, None] * t[None, :]
+    ups2 = R[:, None] ** 2 + r * r - 2.0 * r * R[:, None] * np.cos(angle)
+    # the band edges are d and 2d by construction; clipping keeps rounding
+    # off the zero branch of rho2 below d
+    ups = np.sqrt(np.clip(ups2, d * d, 4.0 * d * d))
+    rho2 = SecondOrderDensity(params)(ups.ravel()).reshape(ups.shape)
+    near_weight = 2.0 * R * np.trapezoid(rho2, x=angle, axis=1) / lam_m
+    compact_weight = 2.0 * R * psi_2d
 
-        psi_d, psi_2d = psi(d), psi(2.0 * d)
-        t = np.linspace(0.0, 1.0, quad.n_theta)
-        angle = psi_d[:, None] + (psi_2d - psi_d)[:, None] * t[None, :]
-        ups2 = R[:, None] ** 2 + r * r - 2.0 * r * R[:, None] * np.cos(angle)
-        # the band edges are d and 2d by construction; clipping keeps rounding
-        # off the zero branch of rho2 below d
-        ups = np.sqrt(np.clip(ups2, d * d, 4.0 * d * d))
-        rho2 = SecondOrderDensity(params)(ups.ravel()).reshape(ups.shape)
-        self.near_weight = 2.0 * R * np.trapezoid(rho2, x=angle, axis=1) / self.lam_m
-        self.compact_weight = 2.0 * R * psi_2d
-
-    def evaluate(self, kind: BoundKind, beta_lin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(near, far) arrays over beta_lin."""
-        kind = BoundKind(kind)
-        beta_lin = np.asarray(beta_lin, dtype=float)
-        kernel = _kernel_from_geometry(kind, self.geom[None, :], beta_lin[:, None])
-        near = np.trapezoid(kernel * self.near_weight, x=self.R, axis=1)
-        compact = np.trapezoid(kernel * self.compact_weight, x=self.R, axis=1)
-        # K(beta (r/R)^alpha) = K(beta geom[0] (r0/R)^alpha): the closed form at r0
-        outside = _outside_disk_integral(kind, self.r0, beta_lin * self.geom[0], self.alpha)
-        return near, self.lam_m * (outside - compact)
+    beta_lin = np.asarray(beta_lin, dtype=float)
+    kernel = _kernel_from_geometry(kind, geom[None, :], beta_lin[:, None])
+    near = np.trapezoid(kernel * near_weight, x=R, axis=1)
+    compact = np.trapezoid(kernel * compact_weight, x=R, axis=1)
+    # K(beta (r/R)^alpha) = K(beta geom[0] (r0/R)^alpha): the closed form at r0
+    outside = _outside_disk_integral(kind, r0, beta_lin * geom[0], ch.alpha)
+    return near, lam_m * (outside - compact)
 
 
 def interference_exponent(kind: BoundKind, r: float, phi: float, beta_linear: float,
@@ -217,8 +186,7 @@ def interference_exponent(kind: BoundKind, r: float, phi: float, beta_linear: fl
     quad = quad or QuadConfig()
     if beta_linear < 0:
         raise ParameterError("beta_linear must be >= 0")
-    grids = _ExponentGrids(r, ch, params, quad)
-    near, far = grids.evaluate(kind, np.asarray([beta_linear]))
+    near, far = _exponents(kind, r, np.asarray([beta_linear]), ch, params, quad)
     return ExponentResult(float(near[0]), float(far[0]), 2.0 * params.d, 0.0, 0)
 
 
@@ -232,9 +200,7 @@ def coverage_bound(kind: BoundKind, ch: ChannelParams, params: MhcParams,
     """
     kind = BoundKind(kind)
     quad = quad or QuadConfig()
-    beta_db = np.asarray(list(beta_db), dtype=float)
-    if beta_db.size == 0:
-        raise ParameterError("beta_db grid must be nonempty")
+    beta_db = threshold_grid(beta_db)
     beta_lin = beta_db_to_linear(beta_db)
     lam_m = mhc_density(params)
     r_max = quad.r_max if quad.r_max is not None else 5.0 / math.sqrt(math.pi * lam_m)
@@ -246,8 +212,7 @@ def coverage_bound(kind: BoundKind, ch: ChannelParams, params: MhcParams,
     for j, r in enumerate(r_grid):
         if r == 0.0:
             continue  # zero weight: empty_space_pdf(0) = 0
-        grids = _ExponentGrids(float(r), ch, params, quad)
-        near, far = grids.evaluate(kind, beta_lin)
+        near, far = _exponents(kind, float(r), beta_lin, ch, params, quad)
         mu[:, j] = near + far
 
     weight = empty_space_pdf(r_grid, lam_m)

@@ -25,6 +25,8 @@ DEFAULT_TRIALS = 10000
 DEFAULT_REALIZATIONS = {"empty-space": 2000, "rho2": 500, "void": 2000, "pgfl-bound": 1000}
 # guard-band margin for fixed deployments, as a fraction of the short side
 GUARD_FRACTION = 0.2
+# most points a grid spec may expand to
+MAX_GRID_POINTS = 100_000
 
 
 def parse_window(spec: str) -> tuple[float, float]:
@@ -36,25 +38,31 @@ def parse_window(spec: str) -> tuple[float, float]:
 
 
 def parse_grid_spec(spec: str) -> np.ndarray:
-    """Threshold/parameter grids: 'start:step:stop' (inclusive) or a comma
-    list of values."""
+    """Threshold/parameter grids: 'start:step:stop' (inclusive, at most
+    MAX_GRID_POINTS points) or a comma list of values, all finite."""
     spec = spec.strip()
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ParameterError(f"grid spec must be start:step:stop, got {spec!r}")
-        start, step, stop = (float(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise ParameterError(f"bad grid spec {spec!r}")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return start + step * np.arange(n)
+    ranged = ":" in spec
+    parts = spec.split(":") if ranged else [p for p in spec.split(",") if p.strip()]
+    if ranged and len(parts) != 3:
+        raise ParameterError(f"grid spec must be start:step:stop, got {spec!r}")
     try:
-        values = np.array([float(p) for p in spec.split(",") if p.strip() != ""])
+        values = np.array([float(p) for p in parts])
     except ValueError:
         raise ParameterError(f"could not parse grid spec {spec!r}")
     if values.size == 0:
         raise ParameterError("grid spec is empty")
-    return values
+    if not np.all(np.isfinite(values)):
+        raise ParameterError(f"grid spec values must be finite, got {spec!r}")
+    if not ranged:
+        return values
+    start, step, stop = values.tolist()
+    if step <= 0 or stop < start:
+        raise ParameterError(f"bad grid spec {spec!r}")
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_GRID_POINTS:
+        raise ParameterError(f"grid spec {spec!r} has more points than the cap "
+                             f"of {MAX_GRID_POINTS}")
+    return start + step * np.arange(math.floor(span) + 1)
 
 
 def default_seed(args_seed) -> int:
@@ -197,8 +205,9 @@ def _build_source(params: dict, args, config):
     margin = params.get("margin", _pick(args.margin, config, "margin", None, float))
     if kind == "ppp":
         lam = params["lambda_p"]
-        win = _window(spec, edge, margin, default_side=pointprocess.default_torus_side(lam),
-                      kind=kind)
+        # MHC with d = 0 is the PPP
+        side = analytics.default_torus(pointprocess.MhcParams(lam, 0.0)).width
+        win = _window(spec, edge, margin, default_side=side, kind=kind)
         return pointprocess.PppSource(lam, win)
     if kind == "mhc":
         mp = pointprocess.MhcParams(params["lambda_p"], params["d"])
@@ -271,7 +280,7 @@ def _quad_from(args, config) -> bounds.QuadConfig:
         n_upsilon=_pick(args.n_upsilon, config, "n_upsilon", 256, int),
         r_max=_pick(args.r_max, config, "r_max", None, float),
     )
-    if args.quad_scale and args.quad_scale != 1.0:
+    if args.quad_scale != 1.0:
         quad = quad.scaled(args.quad_scale)
     return quad
 

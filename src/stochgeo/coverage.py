@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .analytics import default_torus
+from .analytics import MIN_WINDOW_SPACINGS, default_torus
 from .errors import DataError, ParameterError
 from .pointprocess import (
     FixedSource,
@@ -29,10 +29,6 @@ from .pointprocess import (
     Window,
     _check_seed,
 )
-
-# Minimum window width, in multiples of the mean station spacing, below which
-# wrapped-interference truncation bias is no longer negligible.
-MIN_WINDOW_SPACINGS = 20.0
 
 
 @dataclass(frozen=True)
@@ -73,12 +69,10 @@ class CoverageCurve:
     label: str
 
     def __post_init__(self):
-        beta = np.asarray(self.beta_db, dtype=float)
+        beta = threshold_grid(self.beta_db)
         p = np.asarray(self.p_c, dtype=float)
-        if beta.ndim != 1 or beta.shape != p.shape or len(beta) == 0:
+        if beta.shape != p.shape:
             raise ParameterError("beta_db and p_c must be equal-length 1-D arrays")
-        if not np.all(np.diff(beta) > 0):
-            raise ParameterError("beta_db must be strictly increasing")
         if np.any(p < 0) or np.any(p > 1):
             raise ParameterError("coverage probabilities must lie in [0, 1]")
         se = self.std_err
@@ -95,6 +89,17 @@ class CoverageCurve:
 
     def __len__(self) -> int:
         return len(self.beta_db)
+
+
+def threshold_grid(beta_db) -> np.ndarray:
+    """beta_db as a float array, checked to be a nonempty, strictly
+    increasing 1-D grid."""
+    beta = np.asarray(beta_db, dtype=float)
+    if beta.ndim != 1 or beta.size == 0:
+        raise ParameterError("beta_db grid must be a nonempty 1-D array")
+    if not np.all(np.diff(beta) > 0):
+        raise ParameterError("beta_db must be strictly increasing")
+    return beta
 
 
 def beta_db_to_linear(beta_db) -> np.ndarray:
@@ -152,24 +157,29 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 def _count_chunk(source, ch: ChannelParams, beta_lin: np.ndarray, seed: int,
-                 lo: int, hi: int) -> tuple[np.ndarray, int]:
-    """Score trials [lo, hi): per-threshold success counts plus clamp count.
+                 lo: int, hi: int) -> tuple[np.ndarray, int, int]:
+    """Score trials [lo, hi): per-threshold success counts, clamp count and
+    empty-realization count.
 
     Each trial draws from its own generator stream keyed by (seed, index), so
-    the reduction is independent of chunking and execution order.
+    the reduction is independent of chunking and execution order. A trial
+    whose realization has no station is an outage at every threshold.
     """
     window = source.window
     xmin, xmax, ymin, ymax = window.interior_bounds()
     counts = np.zeros(len(beta_lin), dtype=np.int64)
-    clamped = 0
+    clamped = empty = 0
     for trial in range(lo, hi):
         rng = _trial_rng(seed, trial)
         pts = source.points_for_trial(rng)
+        if len(pts) == 0:
+            empty += 1
+            continue
         user = np.array([rng.uniform(xmin, xmax), rng.uniform(ymin, ymax)])
         sinr, was_clamped = _eval_trial_sinr(pts, window, user, ch, rng)
         clamped += was_clamped
         counts += sinr >= beta_lin
-    return counts, clamped
+    return counts, clamped, empty
 
 
 def simulate_coverage(source, ch: ChannelParams, beta_db: Sequence[float],
@@ -187,40 +197,37 @@ def simulate_coverage(source, ch: ChannelParams, beta_db: Sequence[float],
     if n_trials < 1:
         raise ParameterError("n_trials must be >= 1")
     seed = _check_seed(seed)
-    beta_db = np.asarray(list(beta_db), dtype=float)
-    if beta_db.size == 0:
-        raise ParameterError("beta_db grid must be nonempty")
-    if not np.all(np.diff(beta_db) > 0):
-        raise ParameterError("beta_db must be strictly increasing")
+    beta_db = threshold_grid(beta_db)
     beta_lin = beta_db_to_linear(beta_db)
 
     density = source.mean_density
     min_side = MIN_WINDOW_SPACINGS / math.sqrt(density) if density > 0 else 0.0
     if min(source.window.width, source.window.height) < min_side:
         warnings.warn(f"window {source.window.width:g}x{source.window.height:g} is "
-                      f"narrower than {min_side:.1f} km (20 mean spacings); "
-                      "interference truncation bias may exceed Monte Carlo noise",
-                      stacklevel=2)
+                      f"narrower than {min_side:.1f} km ({MIN_WINDOW_SPACINGS:g} mean "
+                      "spacings); interference truncation bias may exceed Monte Carlo "
+                      "noise", stacklevel=2)
 
     workers = threads if threads > 0 else (os.cpu_count() or 1)
     if workers > 1 and n_trials >= 2000:
         n_chunks = min(workers * 4, max(1, n_trials // 500))
         edges = np.linspace(0, n_trials, n_chunks + 1, dtype=int)
-        counts = np.zeros(len(beta_lin), dtype=np.int64)
-        clamped = 0
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_count_chunk, source, ch, beta_lin, seed, lo, hi)
                        for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
-            for fut in futures:
-                c, cl = fut.result()
-                counts += c
-                clamped += cl
+            chunks = [fut.result() for fut in futures]
     else:
-        counts, clamped = _count_chunk(source, ch, beta_lin, seed, 0, n_trials)
+        chunks = [_count_chunk(source, ch, beta_lin, seed, 0, n_trials)]
+    counts, clamped, empty = (sum(part) for part in zip(*chunks))
 
+    if empty == n_trials:
+        raise DataError("deployment has no stations")
     if clamped:
         warnings.warn(f"{clamped} of {n_trials} trials hit the {R_MIN_KM:g} km "
                       "serving-distance clamp", stacklevel=2)
+    if empty:
+        warnings.warn(f"{empty} of {n_trials} trials drew no stations; counted as outage",
+                      stacklevel=2)
     p = counts / n_trials
     se = np.sqrt(p * (1.0 - p) / n_trials)
     return CoverageCurve(beta_db, p, se, label or source.label)

@@ -29,16 +29,6 @@ R_MIN_KM = 1e-6
 MAX_EXPECTED_POINTS = 1e7
 
 
-def default_torus_side(density: float, hardcore_d: float = 0.0,
-                       extent: float = 0.0) -> float:
-    """Side of a square torus large enough for stable statistics: at least
-    20 mean spacings at the given point density, with room for the hardcore
-    distance and any probe radius."""
-    if not density > 0:
-        raise ParameterError("density must be > 0")
-    return max(20.0 / math.sqrt(density), 8.0 * hardcore_d, 4.0 * extent, 1.0)
-
-
 @dataclass(frozen=True)
 class Window:
     """Rectangular study region, dimensions in km.
@@ -99,11 +89,13 @@ class Window:
         """Smallest pairwise distance under the window metric (inf if < 2 points)."""
         if len(points) < 2:
             return math.inf
-        tree = self._tree(points)
-        d, _ = tree.query(points, k=2)
+        d, _ = self.tree(points).query(points, k=2)
         return float(d[:, 1].min())
 
-    def _tree(self, points: np.ndarray) -> cKDTree:
+    def tree(self, points: np.ndarray) -> cKDTree:
+        """k-d tree over `points` under the window metric. On a torus the
+        points are wrapped into [0, width) x [0, height) first; the wrap is
+        the identity there and maps a point on the far edge to 0."""
         if self.toroidal:
             boxed = np.remainder(points, (self.width, self.height))
             return cKDTree(boxed, boxsize=(self.width, self.height))
@@ -223,23 +215,14 @@ def mhc_realization(rng: np.random.Generator, params: MhcParams,
     near the boundary compete against the parents that would exist beyond it.
     """
     d = params.d
-    if window.toroidal:
-        if d >= min(window.width, window.height) / 2:
-            raise ParameterError("hardcore distance d must be < half the window size "
-                                 "for toroidal thinning")
-        parents = ppp_points(rng, params.lambda_p, 0.0, window.width, 0.0, window.height)
-        marks = rng.random(len(parents))
-        tree = cKDTree(parents, boxsize=(window.width, window.height)) if len(parents) else None
-    else:
-        ext = d
-        parents = ppp_points(rng, params.lambda_p, -ext, window.width + ext,
-                             -ext, window.height + ext)
-        marks = rng.random(len(parents))
-        tree = cKDTree(parents) if len(parents) else None
-    if tree is None:
-        return parents, marks, np.ones(0, dtype=bool)
-    keep = _min_mark_thinning(parents, marks, d, tree)
-    return parents, marks, keep
+    if window.toroidal and d >= min(window.width, window.height) / 2:
+        raise ParameterError("hardcore distance d must be < half the window size "
+                             "for toroidal thinning")
+    ext = 0.0 if window.toroidal else d
+    parents = ppp_points(rng, params.lambda_p, -ext, window.width + ext,
+                         -ext, window.height + ext)
+    marks = rng.random(len(parents))
+    return parents, marks, _min_mark_thinning(parents, marks, d, window.tree(parents))
 
 
 def sample_mhc(params: MhcParams, window: Window, seed: int) -> PointSet:

@@ -13,34 +13,45 @@ from stochgeo import (
     Window,
     coverage_bound,
     interference_exponent,
-    interference_kernel,
     mhc_density,
     pgfl_bound_check,
 )
-from stochgeo.bounds import _ExponentGrids, _outside_disk_integral
+from stochgeo import bounds
+from stochgeo.bounds import _exponents, _kernel_from_geometry, _outside_disk_integral
 from stochgeo.pointprocess import _rng_for, mhc_realization
 
 CH4 = ChannelParams(alpha=4.0, sigma2=0.1)
 
-# r=1, upsilon=2, angle=pi/2, alpha=4, beta=1: R^2 = 5, x = 1/25
+# r=1, R^2=5 (an interferer 2 from the station at a right angle), alpha=4,
+# beta=1: x = 1/25
 KERNEL_LOG_REF = 0.0392207131533      # log(1 + 1/25)
 KERNEL_RATIO_REF = 0.0384615384615    # (1/25) / (1 + 1/25) = 1/26
+
+
+def kernel(kind, r, R, beta_linear, alpha):
+    """Per-interferer kernel at serving distance r and user distance R."""
+    return _kernel_from_geometry(BoundKind(kind), (r / np.asarray(R, dtype=float)) ** alpha,
+                                 beta_linear)
 
 
 def test_quadconfig_validation_and_scaling():
     with pytest.raises(ParameterError):
         QuadConfig(n_r=8)
-    with pytest.raises(ParameterError):
-        QuadConfig(r_max=0.0)
+    for r_max in (0.0, math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            QuadConfig(r_max=r_max)
     q = QuadConfig(n_r=32, n_theta=64, n_upsilon=64)
     q2 = q.scaled(2)
     assert (q2.n_r, q2.n_theta, q2.n_upsilon) == (64, 128, 128)
     assert q2.r_max == q.r_max
+    for factor in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            q.scaled(factor)
 
 
 def test_kernel_reference_values():
-    log_val = interference_kernel(BoundKind.THEOREM1, 1.0, 2.0, math.pi / 2, 1.0, 4.0)
-    ratio_val = interference_kernel(BoundKind.PROPOSITION1, 1.0, 2.0, math.pi / 2, 1.0, 4.0)
+    log_val = kernel(BoundKind.THEOREM1, 1.0, math.sqrt(5.0), 1.0, 4.0)
+    ratio_val = kernel(BoundKind.PROPOSITION1, 1.0, math.sqrt(5.0), 1.0, 4.0)
     assert log_val == pytest.approx(KERNEL_LOG_REF, abs=1e-12)
     assert ratio_val == pytest.approx(KERNEL_RATIO_REF, abs=1e-12)
     assert ratio_val <= log_val
@@ -48,28 +59,21 @@ def test_kernel_reference_values():
 
 def test_kernel_zero_threshold():
     for kind in BoundKind:
-        assert interference_kernel(kind, 1.0, 2.0, 0.3, 0.0, 4.0) == 0.0
+        assert kernel(kind, 1.0, 2.0, 0.0, 4.0) == 0.0
 
 
 def test_kernel_vanishes_at_infinity():
     for kind in BoundKind:
-        assert interference_kernel(kind, 1.0, 1e6, 0.3, 10.0, 4.0) < 1e-20
+        assert kernel(kind, 1.0, 1e6, 10.0, 4.0) < 1e-20
 
 
 def test_kernel_ratio_below_log_everywhere():
     rng = np.random.default_rng(4)
-    ups = rng.uniform(0.05, 5.0, 300)
-    ang = rng.uniform(0, 2 * math.pi, 300)
-    log_vals = interference_kernel(BoundKind.THEOREM1, 0.7, ups, ang, 3.0, 4.0)
-    ratio_vals = interference_kernel(BoundKind.PROPOSITION1, 0.7, ups, ang, 3.0, 4.0)
+    R = rng.uniform(0.05, 5.0, 300)
+    log_vals = kernel(BoundKind.THEOREM1, 0.7, R, 3.0, 4.0)
+    ratio_vals = kernel(BoundKind.PROPOSITION1, 0.7, R, 3.0, 4.0)
     assert np.all(ratio_vals <= log_vals + 1e-15)
     assert np.all(log_vals >= 0) and np.all(ratio_vals >= 0)
-
-
-def test_kernel_degenerate_geometry_is_finite():
-    # upsilon = r, angle = 0 puts the interferer on the user: clamped, finite
-    v = interference_kernel(BoundKind.THEOREM1, 0.5, 0.5, 0.0, 1.0, 4.0)
-    assert math.isfinite(v)
 
 
 def test_exponent_zero_threshold():
@@ -210,8 +214,19 @@ def test_exponent_node_sweep_far_nonnegative_and_kinds_ordered():
 def test_exponent_alpha_at_most_2_rejected():
     with pytest.raises(ParameterError):
         ChannelParams(alpha=2.0, sigma2=0.1)
-    grids_ok = _ExponentGrids(0.5, CH4, MhcParams(1.0, 0.1), QuadConfig())
-    assert grids_ok.lam_m > 0
+    near, far = _exponents(BoundKind.THEOREM1, 0.5, np.array([1.0]), CH4,
+                           MhcParams(1.0, 0.1), QuadConfig())
+    assert near[0] > 0 and far[0] > 0
+
+
+def test_bound_rejects_bad_grid_before_quadrature(monkeypatch):
+    def quadrature(*args):
+        raise AssertionError("quadrature ran on a bad grid")
+
+    monkeypatch.setattr(bounds, "_exponents", quadrature)
+    for grid in ([], [1.0, 0.0], [0.0, 0.0]):
+        with pytest.raises(ParameterError):
+            coverage_bound(BoundKind.THEOREM1, CH4, MhcParams(3.0, 0.5), grid)
 
 
 def test_bound_tends_to_one_without_noise():

@@ -21,7 +21,7 @@ from stochgeo import (
     simulate_coverage,
     sinr_sample,
 )
-from stochgeo.coverage import sinr_linear
+from stochgeo.coverage import _trial_rng, sinr_linear
 
 
 def quiet_simulate(*args, **kwargs):
@@ -151,6 +151,22 @@ def test_empty_deployment_is_data_error():
     ch = ChannelParams(alpha=4.0, sigma2=0.1)
     with pytest.raises(DataError):
         quiet_simulate(FixedSource(empty), ch, [0.0], 10, 1, threads=1)
+
+
+def test_empty_realizations_count_as_outage():
+    # about 45% of these PPP(0.05) draws on a 4 x 4 window have no station
+    source = PppSource(0.05, Window(4, 4))
+    ch = ChannelParams(alpha=4.0, sigma2=0.1)
+    n, seed = 50, 1
+    empty = sum(len(source.points_for_trial(_trial_rng(seed, t))) == 0 for t in range(n))
+    assert 0 < empty < n
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        curve = simulate_coverage(source, ch, [-10.0, 0.0], n, seed, threads=1)
+    assert sum(f"{empty} of {n} trials drew no stations" in str(w.message)
+               for w in caught) == 1
+    assert np.all(curve.p_c <= (n - empty) / n)
+    assert curve.p_c[0] > 0
 
 
 def test_simulate_parameter_errors():

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,10 @@ from stochgeo.io import (
     read_curves_csv,
     write_curves_csv,
 )
+
+
+# a simulate CSV that fit can read as its target
+GOLDEN_CURVE = Path(__file__).parent / "golden" / "cli" / "simulate_mhc_auto.csv"
 
 
 def run(args):
@@ -42,6 +47,19 @@ def test_parse_grid_spec():
         parse_grid_spec("10:0:20")
     with pytest.raises(ParameterError):
         parse_grid_spec("abc")
+    with pytest.raises(ParameterError):
+        parse_grid_spec("abc:1:2")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="0123456789.-e:,naif ", max_size=16))
+def test_parse_grid_spec_fuzzed_gives_finite_values_or_usage_error(spec):
+    from stochgeo import ParameterError
+    try:
+        values = parse_grid_spec(spec)
+    except ParameterError:
+        return
+    assert values.ndim == 1 and values.size > 0 and np.all(np.isfinite(values))
 
 
 def test_parse_window():
@@ -213,6 +231,8 @@ def test_cli_fit_on_same_label_sources_uses_the_first(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["--source", "ppp:lambda_p=1e300", "--window", "1x1"],
     ["--source", "ppp:lambda_p=1e12", "--window", "10x10"],
+    ["--source", "ppp:lambda_p=1,window=20x20", "--beta-db", "0:1e-300:1"],
+    ["--source", "ppp:lambda_p=1,window=20x20", "--beta-db=-1e308:1:1e308"],
 ])
 def test_cli_huge_expected_point_count_is_a_usage_error(argv, capsys):
     assert run(["simulate"] + argv + ["--trials", "1", "--seed", "1", "--threads", "1"]) == 2
@@ -309,12 +329,40 @@ def test_cli_bound_bad_config_kind_is_a_usage_error(tmp_path, capsys):
     ["bound", "--lambda-p", "inf", "--d", "0.5"],
     ["bound", "--lambda-p", "3", "--d", "nan"],
     ["sample", "mhc", "--lambda-p", "3", "--d", "inf", "--window", "6x6"],
+    ["simulate", "--source", "ppp:lambda_p=1,window=20x20", "--beta-db", "nan:1:5"],
+    ["simulate", "--source", "ppp:lambda_p=1,window=20x20", "--beta-db", "0:1:inf"],
+    ["simulate", "--source", "ppp:lambda_p=1,window=20x20", "--beta-db", "0,nan,5"],
+    ["bound", "--lambda-p", "3", "--d", "0.5", "--beta-db=-inf,0"],
+    ["fit", "--target", str(GOLDEN_CURVE), "--lambda-p-grid", "nan:1:5", "--d-grid", "0.4"],
 ])
 def test_cli_non_finite_parameter_is_a_usage_error(argv, capsys):
     assert run(argv + ["--seed", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--lambda-p", "1e300", "--d", "1e5", "--beta-db", "0"],
+    ["simulate", "--source", "mhc:lambda_p=1e300,d=1e5", "--trials", "1"],
+])
+def test_cli_underflowing_retained_density_is_a_usage_error(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "underflows" in err
+
+
+@pytest.mark.parametrize("factor", ["0", "-1", "nan", "inf"])
+def test_cli_bound_bad_quad_scale_is_a_usage_error(factor, capsys):
+    assert run(["bound", "--lambda-p", "3", "--d", "0.5", f"--quad-scale={factor}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "scale" in err
+
+
+@pytest.mark.filterwarnings("ignore")
+def test_cli_empty_realizations_do_not_abort_the_run():
+    assert run(["simulate", "--source", "ppp:lambda_p=0.05,window=4x4", "--beta-db", "0",
+                "--trials", "50", "--seed", "1", "--threads", "1"]) == 0
 
 
 def test_cli_bound_quad_scale(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochgeo import (
     DataError,
@@ -18,10 +20,12 @@ from stochgeo import (
 from stochgeo.pointprocess import (
     MAX_EXPECTED_POINTS,
     _grid_shape,
+    _min_mark_thinning,
     _rng_for,
     mhc_realization,
     ppp_points,
 )
+from stochgeo import pointprocess
 
 
 def test_window_validation():
@@ -107,6 +111,40 @@ def test_mhc_hardcore_property(edge):
         ps = sample_mhc(MhcParams(2.0, 0.5), win, seed)
         assert win.min_pair_distance(ps.points) >= 0.5
         assert win.contains(ps.points).all()
+
+
+_mhc_cases = dict(seed=st.integers(0, 2**32 - 1), lambda_p=st.floats(0.5, 4.0),
+                  d=st.floats(0.05, 1.0), edge=st.sampled_from(["toroidal", "guard"]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_mhc_cases)
+def test_mhc_retained_parents_are_d_apart(seed, lambda_p, d, edge):
+    # every retained parent, guard extension included, under the window metric
+    win = Window(5.0, 5.0, edge=edge)
+    parents, _, keep = mhc_realization(_rng_for(seed), MhcParams(lambda_p, d), win)
+    assert win.min_pair_distance(parents[keep]) >= d
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_mhc_cases)
+def test_mhc_keep_set_invariant_under_joint_permutation(seed, lambda_p, d, edge):
+    win = Window(5.0, 5.0, edge=edge)
+    rng = _rng_for(seed)
+    parents, marks, keep = mhc_realization(rng, MhcParams(lambda_p, d), win)
+    perm = rng.permutation(len(parents))
+    shuffled = parents[perm]
+    assert np.array_equal(_min_mark_thinning(shuffled, marks[perm], d, win.tree(shuffled)),
+                          keep[perm])
+
+
+def test_mhc_parent_on_the_far_edge_wraps(monkeypatch):
+    # a parent drawn exactly at x = width is the point x = 0 of the torus
+    parents = np.array([[3.0, 1.0], [0.1, 1.0], [1.5, 2.0]])
+    monkeypatch.setattr(pointprocess, "ppp_points", lambda *args: parents.copy())
+    _, marks, keep = mhc_realization(_rng_for(0), MhcParams(1.0, 0.5), Window(3.0, 3.0))
+    assert keep[2] and keep[:2].sum() == 1
+    assert keep[int(np.argmin(marks[:2]))]
 
 
 def test_mhc_retained_subset_of_parents():
