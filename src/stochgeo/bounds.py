@@ -19,6 +19,14 @@ the Poisson integral over {R >= r}, which has a closed form
 (Andrews-Baccelli-Ganti), minus the same integral over the compact part
 {R >= r, upsilon < 2d}. Integrating psi out leaves one radial weight per part
 and serving distance, and each threshold costs two 1-D trapezoids over R.
+
+The near weight needs rho2 at every (R, psi) node. rho2 depends on upsilon
+alone, so each exponent evaluates it once, at RHO2_TABLE_INTERVALS + 1 nodes
+equally spaced in upsilon^2 over [d^2, 4d^2], and interpolates linearly in
+upsilon^2 by index arithmetic. The measured interpolation error is at most
+2.2e-7 lambda_m^2 (at (lambda_p, d) = (10, 0.5), next to the square-root edge
+of rho2 at 2d; the tests hold it below 1e-6 lambda_m^2) and moves the bound
+curves by less than 1e-8 relative.
 """
 
 from __future__ import annotations
@@ -41,6 +49,9 @@ from .analytics import (
 from .coverage import ChannelParams, CoverageCurve, beta_db_to_linear, threshold_grid
 from .errors import DataError, ParameterError
 from .pointprocess import MhcParams, Window, _check_seed
+
+# Intervals of the pair-density table over the band d^2 <= upsilon^2 <= 4d^2.
+RHO2_TABLE_INTERVALS = 2048
 
 
 class BoundKind(str, Enum):
@@ -119,6 +130,35 @@ def _outside_disk_integral(kind: BoundKind, r: float, beta_lin, alpha: float):
     return 0.5 * alpha * ratio - math.pi * r * r * np.log1p(beta)
 
 
+def _band_pair_density(params: MhcParams, ups2: np.ndarray) -> np.ndarray:
+    """rho2 at squared separations ups2, clipped to the band [d^2, 4d^2], by
+    linear interpolation in a table of RHO2_TABLE_INTERVALS + 1 nodes equally
+    spaced in upsilon^2 over the band; ups2 is overwritten. A band too narrow
+    for floating point to resolve (d = 0, or d below about 2e-153) holds no
+    pair and reads 0."""
+    d = params.d
+    band = 3.0 * d * d
+    per = RHO2_TABLE_INTERVALS / band if band > 0 else math.inf
+    if not math.isfinite(per):
+        ups2.fill(0.0)
+        return ups2
+    ups = np.sqrt(np.linspace(d * d, 4.0 * d * d, RHO2_TABLE_INTERVALS + 1))
+    # the band edges are d and 2d; clipping keeps rounding off the zero
+    # branch of rho2 below d
+    values = SecondOrderDensity(params)(np.clip(ups, d, 2.0 * d))
+    # position in table intervals above d^2
+    pos = ups2
+    pos -= d * d
+    pos *= per
+    np.clip(pos, 0.0, RHO2_TABLE_INTERVALS, out=pos)
+    i = pos.astype(np.intp)
+    pos -= i
+    # at the top node i = RHO2_TABLE_INTERVALS, pos = 0 and any rise will do
+    pos *= np.diff(values).take(i, mode="clip")
+    pos += values.take(i)
+    return pos
+
+
 def _exponents(kind: BoundKind, r: float, beta_lin: np.ndarray, ch: ChannelParams,
                params: MhcParams, quad: QuadConfig) -> tuple[np.ndarray, np.ndarray]:
     """(near, far) interference exponents at serving distance r over beta_lin.
@@ -149,14 +189,17 @@ def _exponents(kind: BoundKind, r: float, beta_lin: np.ndarray, ch: ChannelParam
         return np.arccos(np.clip((R * R + r * r - s * s) / (2.0 * R * r), -1.0, 1.0))
 
     psi_d, psi_2d = psi(d), psi(2.0 * d)
-    t = np.linspace(0.0, 1.0, quad.n_theta)
-    angle = psi_d[:, None] + (psi_2d - psi_d)[:, None] * t[None, :]
-    ups2 = R[:, None] ** 2 + r * r - 2.0 * r * R[:, None] * np.cos(angle)
-    # the band edges are d and 2d by construction; clipping keeps rounding
-    # off the zero branch of rho2 below d
-    ups = np.sqrt(np.clip(ups2, d * d, 4.0 * d * d))
-    rho2 = SecondOrderDensity(params)(ups.ravel()).reshape(ups.shape)
-    near_weight = 2.0 * R * np.trapezoid(rho2, x=angle, axis=1) / lam_m
+    span = psi_2d - psi_d
+    angle = np.multiply.outer(span, np.linspace(0.0, 1.0, quad.n_theta))
+    angle += psi_d[:, None]
+    # upsilon^2 of every node, in place: cos, scale, shift
+    ups2 = np.cos(angle, out=angle)
+    ups2 *= (-2.0 * r) * R[:, None]
+    ups2 += (R * R + r * r)[:, None]
+    rho2 = _band_pair_density(params, ups2)
+    # every row is equally spaced in psi: uniform-step trapezoid
+    row_sum = rho2.sum(axis=1) - 0.5 * (rho2[:, 0] + rho2[:, -1])
+    near_weight = 2.0 * R * (span / (quad.n_theta - 1)) * row_sum / lam_m
     compact_weight = 2.0 * R * psi_2d
 
     beta_lin = np.asarray(beta_lin, dtype=float)

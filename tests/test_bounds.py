@@ -17,7 +17,13 @@ from stochgeo import (
     pgfl_bound_check,
 )
 from stochgeo import bounds
-from stochgeo.bounds import _exponents, _kernel_from_geometry, _outside_disk_integral
+from stochgeo.analytics import SecondOrderDensity
+from stochgeo.bounds import (
+    _band_pair_density,
+    _exponents,
+    _kernel_from_geometry,
+    _outside_disk_integral,
+)
 from stochgeo.pointprocess import _rng_for, mhc_realization
 
 CH4 = ChannelParams(alpha=4.0, sigma2=0.1)
@@ -260,6 +266,35 @@ def test_bound_ppp_limit_closed_form():
     beta = 10 ** (beta_db / 10)
     exact = 1.0 / (1.0 + np.sqrt(beta) * np.arctan(np.sqrt(beta)))
     assert np.allclose(curve.p_c, exact, atol=5e-4)
+
+
+def test_bound_at_zero_hardcore_distance_is_the_poisson_closed_form():
+    # d = 0: the pair-density band is empty and the bound is the Poisson one
+    ch = ChannelParams(alpha=4.0, sigma2=0.0)
+    curve = coverage_bound(BoundKind.PROPOSITION1, ch, MhcParams(1.0, 0.0), [0.0, 10.0])
+    beta = np.array([1.0, 10.0])
+    exact = 1.0 / (1.0 + np.sqrt(beta) * (math.pi / 2 - np.arctan(1.0 / np.sqrt(beta))))
+    assert np.allclose(curve.p_c, exact, rtol=1e-7, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", list(BoundKind))
+def test_bound_below_float_resolution_of_the_band_is_the_zero_distance_one(kind):
+    # 3d^2 = 3e-320 is subnormal: the band cannot hold a table and is empty
+    ch = ChannelParams(alpha=4.0, sigma2=0.0)
+    tiny = coverage_bound(kind, ch, MhcParams(1.0, 1e-160), [0.0, 10.0])
+    zero = coverage_bound(kind, ch, MhcParams(1.0, 0.0), [0.0, 10.0])
+    assert np.all(np.isfinite(tiny.p_c))
+    assert np.allclose(tiny.p_c, zero.p_c, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("lambda_p,d", [(3.0, 0.5), (1.0, 0.3), (2.0, 0.4), (10.0, 0.5),
+                                        (1.0, 1e-3)])
+def test_pair_density_table_matches_closed_form(lambda_p, d):
+    params = MhcParams(lambda_p, d)
+    ups = np.random.default_rng(5).uniform(d, 2.0 * d, 100_000)
+    table = _band_pair_density(params, ups * ups)
+    exact = SecondOrderDensity(params)(ups)
+    assert np.max(np.abs(table - exact)) <= 1e-6 * mhc_density(params) ** 2
 
 
 def test_pgfl_exact_at_zero_threshold():
