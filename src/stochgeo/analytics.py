@@ -28,6 +28,10 @@ from .pointprocess import (
 # interference truncated by the window is no longer negligible.
 MIN_WINDOW_SPACINGS = 20.0
 
+# Below t = lambda_p pi d^2 = RHO2_SERIES_T a series in t replaces the closed
+# form of rho2, which loses a share of about eps / t to cancellation.
+RHO2_SERIES_T = 1e-3
+
 
 def retention_probability(params: MhcParams) -> float:
     """Chance that a parent point survives min-mark thinning:
@@ -90,8 +94,15 @@ class SecondOrderDensity:
         if d > 0:
             out[u < d] = 0.0
             mid = (u >= d) & (u < 2 * d)
-            if mid.any():
-                t = self.params.lambda_p * math.pi * d * d
+            t = self.params.lambda_p * math.pi * d * d
+            if mid.any() and t < RHO2_SERIES_T:
+                # rho2 / lambda_p^2 = 2 sum_{k>=2} (-t)^(k-2) (1 + v + ... + v^(k-2)) / k!
+                # with v = V / (pi d^2) in [1.6, 2]: no d^2 and no cancellation
+                v = disc_union_area(u[mid] / d, 1.0) / math.pi
+                out[mid] = self.params.lambda_p ** 2 * sum(
+                    2.0 * (-t) ** (k - 2) / math.factorial(k) * (v ** (k - 1) - 1.0) / (v - 1.0)
+                    for k in range(2, 9))
+            elif mid.any():
                 V = disc_union_area(u[mid], d)
                 pidd = math.pi * d * d
                 num = 2 * V * (-math.expm1(-t)) - 2 * pidd * (-np.expm1(-self.params.lambda_p * V))

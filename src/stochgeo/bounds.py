@@ -21,9 +21,9 @@ the Poisson integral over {R >= r}, which has a closed form
 and serving distance, and each threshold costs two 1-D trapezoids over R.
 
 The near weight needs rho2 at every (R, psi) node. rho2 depends on upsilon
-alone, so each exponent evaluates it once, at RHO2_TABLE_INTERVALS + 1 nodes
-equally spaced in upsilon^2 over [d^2, 4d^2], and interpolates linearly in
-upsilon^2 by index arithmetic. The measured interpolation error is at most
+alone, so each bound curve evaluates it once, at RHO2_TABLE_INTERVALS + 1
+nodes equally spaced in upsilon^2 over [d^2, 4d^2], and every exponent
+interpolates linearly in upsilon^2 by index arithmetic. The measured interpolation error is at most
 2.2e-7 lambda_m^2 (at (lambda_p, d) = (10, 0.5), next to the square-root edge
 of rho2 at 2d; the tests hold it below 1e-6 lambda_m^2) and moves the bound
 curves by less than 1e-8 relative.
@@ -130,22 +130,27 @@ def _outside_disk_integral(kind: BoundKind, r: float, beta_lin, alpha: float):
     return 0.5 * alpha * ratio - math.pi * r * r * np.log1p(beta)
 
 
-def _band_pair_density(params: MhcParams, ups2: np.ndarray) -> np.ndarray:
+def _pair_density_table(params: MhcParams) -> np.ndarray:
+    """rho2 at RHO2_TABLE_INTERVALS + 1 nodes equally spaced in upsilon^2 over
+    the band [d^2, 4d^2]; built once per bound curve."""
+    d = params.d
+    ups = np.sqrt(np.linspace(d * d, 4.0 * d * d, RHO2_TABLE_INTERVALS + 1))
+    # the band edges are d and 2d; clipping keeps rounding off the zero
+    # branch of rho2 below d
+    return SecondOrderDensity(params)(np.clip(ups, d, 2.0 * d))
+
+
+def _band_pair_density(params: MhcParams, ups2: np.ndarray, values: np.ndarray) -> np.ndarray:
     """rho2 at squared separations ups2, clipped to the band [d^2, 4d^2], by
-    linear interpolation in a table of RHO2_TABLE_INTERVALS + 1 nodes equally
-    spaced in upsilon^2 over the band; ups2 is overwritten. A band too narrow
-    for floating point to resolve (d = 0, or d below about 2e-153) holds no
-    pair and reads 0."""
+    linear interpolation in the table `values` of _pair_density_table; ups2
+    is overwritten. A band too narrow for floating point to resolve (d = 0,
+    or d below about 2e-153) holds no pair and reads 0."""
     d = params.d
     band = 3.0 * d * d
     per = RHO2_TABLE_INTERVALS / band if band > 0 else math.inf
     if not math.isfinite(per):
         ups2.fill(0.0)
         return ups2
-    ups = np.sqrt(np.linspace(d * d, 4.0 * d * d, RHO2_TABLE_INTERVALS + 1))
-    # the band edges are d and 2d; clipping keeps rounding off the zero
-    # branch of rho2 below d
-    values = SecondOrderDensity(params)(np.clip(ups, d, 2.0 * d))
     # position in table intervals above d^2
     pos = ups2
     pos -= d * d
@@ -160,7 +165,8 @@ def _band_pair_density(params: MhcParams, ups2: np.ndarray) -> np.ndarray:
 
 
 def _exponents(kind: BoundKind, r: float, beta_lin: np.ndarray, ch: ChannelParams,
-               params: MhcParams, quad: QuadConfig) -> tuple[np.ndarray, np.ndarray]:
+               params: MhcParams, quad: QuadConfig,
+               rho2_table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(near, far) interference exponents at serving distance r over beta_lin.
 
     In polar coordinates (R, psi) around the user the kernel is
@@ -196,7 +202,7 @@ def _exponents(kind: BoundKind, r: float, beta_lin: np.ndarray, ch: ChannelParam
     ups2 = np.cos(angle, out=angle)
     ups2 *= (-2.0 * r) * R[:, None]
     ups2 += (R * R + r * r)[:, None]
-    rho2 = _band_pair_density(params, ups2)
+    rho2 = _band_pair_density(params, ups2, rho2_table)
     # every row is equally spaced in psi: uniform-step trapezoid
     row_sum = rho2.sum(axis=1) - 0.5 * (rho2[:, 0] + rho2[:, -1])
     near_weight = 2.0 * R * (span / (quad.n_theta - 1)) * row_sum / lam_m
@@ -229,7 +235,8 @@ def interference_exponent(kind: BoundKind, r: float, phi: float, beta_linear: fl
     quad = quad or QuadConfig()
     if beta_linear < 0:
         raise ParameterError("beta_linear must be >= 0")
-    near, far = _exponents(kind, r, np.asarray([beta_linear]), ch, params, quad)
+    near, far = _exponents(kind, r, np.asarray([beta_linear]), ch, params, quad,
+                           _pair_density_table(params))
     return ExponentResult(float(near[0]), float(far[0]), 2.0 * params.d, 0.0, 0)
 
 
@@ -252,10 +259,11 @@ def coverage_bound(kind: BoundKind, ch: ChannelParams, params: MhcParams,
     r_grid = r_max * (k / (quad.n_r - 1)) ** 2
 
     mu = np.zeros((beta_lin.size, quad.n_r))
+    rho2_table = _pair_density_table(params)
     for j, r in enumerate(r_grid):
         if r == 0.0:
             continue  # zero weight: empty_space_pdf(0) = 0
-        near, far = _exponents(kind, float(r), beta_lin, ch, params, quad)
+        near, far = _exponents(kind, float(r), beta_lin, ch, params, quad, rho2_table)
         mu[:, j] = near + far
 
     weight = empty_space_pdf(r_grid, lam_m)

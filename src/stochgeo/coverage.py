@@ -1,10 +1,11 @@
 """Monte Carlo estimation of downlink SINR coverage probability.
 
 Each trial realizes the deployment (fresh for random sources, reused for
-fixed ones), drops one uniform user, attaches it to the nearest station under
-the window metric, draws Rayleigh fades for the serving and interfering
-links, and scores the resulting SINR against every threshold. Coverage is
-the fraction of trials at or above each threshold.
+fixed ones), drops one uniform user and draws Rayleigh fades for every link.
+Trials are scored in blocks: one vectorised pass attaches each user to its
+nearest station under the window metric and compares the resulting SINR
+with every threshold. Coverage is the fraction of trials at or above each
+threshold.
 """
 
 from __future__ import annotations
@@ -106,50 +107,45 @@ def beta_db_to_linear(beta_db) -> np.ndarray:
     return 10.0 ** (np.asarray(beta_db, dtype=float) / 10.0)
 
 
-def sinr_linear(serving_fade: float, interferer_fades: np.ndarray, r: float,
-                interferer_distances: np.ndarray, ch: ChannelParams) -> float:
-    """SINR from normalized (unit-mean) fade draws.
+# Stations per scored block: caps a block's memory whatever the window size.
+BLOCK_STATIONS = 2 ** 14
 
-    Works in units of the transmit power: the numerator fade has mean 1 and
-    the noise enters as sigma2 / p_t, so scaling {p_t, sigma2} by a common
-    factor leaves the result unchanged.
+
+def _eval_trial_sinr(points: np.ndarray, sizes: np.ndarray, users: np.ndarray,
+                     serving_fades: np.ndarray, fades: np.ndarray, window: Window,
+                     ch: ChannelParams) -> tuple[np.ndarray, int]:
+    """SINR of a block of trials in one vectorised pass.
+
+    Trial i owns the next sizes[i] >= 1 rows of `points` and of the unit-mean
+    station `fades`, the user users[i] and the serving fade serving_fades[i].
+    The user attaches to its nearest station under the window metric (the
+    first one on a tie), whose own fade is dropped; every other station
+    interferes. Noise enters as sigma2 / p_t, so scaling {p_t, sigma2} by a
+    common factor leaves the result unchanged. Returns (sinr per trial,
+    number of trials whose serving distance is below the R_MIN_KM floor).
     """
-    r = max(r, R_MIN_KM)
-    interference = float(np.dot(interferer_fades,
-                                np.maximum(interferer_distances, R_MIN_KM) ** -ch.alpha))
-    denom = ch.sigma2 / ch.p_t + interference
-    num = serving_fade * r ** -ch.alpha
-    if denom == 0.0:
-        return math.inf
-    return num / denom
-
-
-def _eval_trial_sinr(points: np.ndarray, window: Window, user: np.ndarray,
-                     ch: ChannelParams, rng: np.random.Generator) -> tuple[float, bool]:
-    """One SINR draw for a given deployment and user location.
-
-    Returns (sinr, clamped) where clamped marks a serving distance below the
-    R_MIN_KM floor. Fade draw order: serving first, then one per station.
-    """
-    if len(points) == 0:
-        raise DataError("deployment has no stations")
-    dist = window.distances(user, points)
-    k = int(np.argmin(dist))
-    r = float(dist[k])
-    clamped = r < R_MIN_KM
-    serving_fade = rng.standard_exponential()
-    fades = rng.standard_exponential(len(points))
-    others = np.delete(dist, k)
-    sinr = sinr_linear(serving_fade, np.delete(fades, k), r, others, ch)
-    return sinr, clamped
+    starts = np.cumsum(sizes) - sizes
+    dist = window.distances(np.repeat(users, sizes, axis=0), points)
+    r = np.minimum.reduceat(dist, starts)
+    at_min = np.flatnonzero(dist == np.repeat(r, sizes))
+    gain = fades * np.maximum(dist, R_MIN_KM) ** -ch.alpha
+    gain[at_min[np.searchsorted(at_min, starts)]] = 0.0
+    denom = ch.sigma2 / ch.p_t + np.add.reduceat(gain, starts)
+    num = serving_fades * np.maximum(r, R_MIN_KM) ** -ch.alpha
+    sinr = np.divide(num, denom, out=np.full(len(sizes), math.inf), where=denom > 0)
+    return sinr, int(np.count_nonzero(r < R_MIN_KM))
 
 
 def sinr_sample(user, bs: PointSet, ch: ChannelParams, rng: np.random.Generator) -> float:
     """Single SINR sample for a user at a fixed location: nearest-station
-    association, Rayleigh fades with mean power p_t on every link."""
-    sinr, _ = _eval_trial_sinr(bs.points, bs.window, np.asarray(user, dtype=float),
-                               ch, rng)
-    return sinr
+    association, Rayleigh fades with mean power p_t on every link. Fade draw
+    order: serving first, then one per station."""
+    if len(bs) == 0:
+        raise DataError("deployment has no stations")
+    serving = rng.standard_exponential()
+    sinr, _ = _eval_trial_sinr(bs.points, [len(bs)], [user], [serving],
+                               rng.standard_exponential(len(bs)), bs.window, ch)
+    return float(sinr[0])
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -161,24 +157,36 @@ def _count_chunk(source, ch: ChannelParams, beta_lin: np.ndarray, seed: int,
     """Score trials [lo, hi): per-threshold success counts, clamp count and
     empty-realization count.
 
-    Each trial draws from its own generator stream keyed by (seed, index), so
-    the reduction is independent of chunking and execution order. A trial
+    Each trial draws from its own generator stream keyed by (seed, index), in
+    the order stations, user x, user y, serving fade, one fade per station,
+    so the reduction is independent of chunking, blocking and execution
+    order. Draws are scored in one pass per BLOCK_STATIONS stations. A trial
     whose realization has no station is an outage at every threshold.
     """
     window = source.window
     xmin, xmax, ymin, ymax = window.interior_bounds()
     counts = np.zeros(len(beta_lin), dtype=np.int64)
-    clamped = empty = 0
+    clamped = empty = buffered = 0
+    pts, users, serving, fades = [], [], [], []
     for trial in range(lo, hi):
         rng = _trial_rng(seed, trial)
-        pts = source.points_for_trial(rng)
-        if len(pts) == 0:
+        stations = source.points_for_trial(rng)
+        if len(stations) == 0:
             empty += 1
-            continue
-        user = np.array([rng.uniform(xmin, xmax), rng.uniform(ymin, ymax)])
-        sinr, was_clamped = _eval_trial_sinr(pts, window, user, ch, rng)
-        clamped += was_clamped
-        counts += sinr >= beta_lin
+        else:
+            pts.append(stations)
+            users.append((rng.uniform(xmin, xmax), rng.uniform(ymin, ymax)))
+            serving.append(rng.standard_exponential())
+            fades.append(rng.standard_exponential(len(stations)))
+            buffered += len(stations)
+        if pts and (buffered >= BLOCK_STATIONS or trial == hi - 1):
+            sinr, n_clamped = _eval_trial_sinr(
+                np.concatenate(pts), np.array([len(p) for p in pts]), np.array(users),
+                np.array(serving), np.concatenate(fades), window, ch)
+            clamped += n_clamped
+            counts += (sinr[:, None] >= beta_lin).sum(axis=0)
+            pts, users, serving, fades = [], [], [], []
+            buffered = 0
     return counts, clamped, empty
 
 

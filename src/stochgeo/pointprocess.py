@@ -75,11 +75,13 @@ class Window:
         )
 
     def distances(self, origin, points: np.ndarray) -> np.ndarray:
-        """Distances from one location to each row of `points` under the
-        window's metric (wrapped for toroidal, Euclidean for guard)."""
+        """Distances from `origin` to each row of `points` under the window's
+        metric (wrapped for toroidal, Euclidean for guard). `origin` is one
+        location for every row, or one row of locations per point."""
         points = np.atleast_2d(points)
-        dx = np.abs(points[:, 0] - origin[0])
-        dy = np.abs(points[:, 1] - origin[1])
+        origin = np.asarray(origin, dtype=float)
+        dx = np.abs(points[:, 0] - origin[..., 0])
+        dy = np.abs(points[:, 1] - origin[..., 1])
         if self.toroidal:
             dx = np.minimum(dx, self.width - dx)
             dy = np.minimum(dy, self.height - dy)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -131,6 +132,29 @@ def test_rho2_nonnegative_everywhere():
     params = MhcParams(1.0, 0.5)
     u = np.linspace(0.0, 2.0, 500)
     assert np.all(second_order_density(u, params) >= 0.0)
+
+
+def rho2_reference(lambda_p, d, u):
+    """Closed-form rho2 to 50 digits: the working precision grows by the
+    digits that the cancellation at small t = lambda_p pi d^2 costs."""
+    lost = max(0, int(-math.log10(lambda_p * math.pi * d * d)))
+    with mpmath.workdps(60 + lost):
+        lp, d, u = mpmath.mpf(lambda_p), mpmath.mpf(d), mpmath.mpf(u)
+        pidd = mpmath.pi * d * d
+        t = lp * pidd
+        V = 2 * pidd - 2 * d * d * mpmath.acos(u / (2 * d)) + u * mpmath.sqrt(d * d - u * u / 4)
+        num = 2 * V * -mpmath.expm1(-t) - 2 * pidd * -mpmath.expm1(-lp * V)
+        return float(num / (pidd * V * (V - pidd)))
+
+
+@pytest.mark.parametrize("lambda_p", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("d", [1e-3, 1e-7, 1e-60, 1e-150, 0.5])
+def test_rho2_matches_high_precision_closed_form(lambda_p, d):
+    params = MhcParams(lambda_p, d)
+    for ratio in (1.01, 1.5, 1.99):
+        u = ratio * d
+        assert SecondOrderDensity(params)(u) == pytest.approx(
+            rho2_reference(lambda_p, d, u), rel=1e-10, abs=0.0)
 
 
 def test_rho2_matches_pair_counting_oracle():

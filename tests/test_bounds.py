@@ -23,6 +23,7 @@ from stochgeo.bounds import (
     _exponents,
     _kernel_from_geometry,
     _outside_disk_integral,
+    _pair_density_table,
 )
 from stochgeo.pointprocess import _rng_for, mhc_realization
 
@@ -220,8 +221,9 @@ def test_exponent_node_sweep_far_nonnegative_and_kinds_ordered():
 def test_exponent_alpha_at_most_2_rejected():
     with pytest.raises(ParameterError):
         ChannelParams(alpha=2.0, sigma2=0.1)
-    near, far = _exponents(BoundKind.THEOREM1, 0.5, np.array([1.0]), CH4,
-                           MhcParams(1.0, 0.1), QuadConfig())
+    params = MhcParams(1.0, 0.1)
+    near, far = _exponents(BoundKind.THEOREM1, 0.5, np.array([1.0]), CH4, params,
+                           QuadConfig(), _pair_density_table(params))
     assert near[0] > 0 and far[0] > 0
 
 
@@ -287,12 +289,21 @@ def test_bound_below_float_resolution_of_the_band_is_the_zero_distance_one(kind)
     assert np.allclose(tiny.p_c, zero.p_c, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("kind", list(BoundKind))
+def test_bound_at_tiny_hardcore_distance_is_finite_and_the_zero_distance_one(kind):
+    # d = 1e-60 still resolves the band; the pair density there once read NaN
+    tiny = coverage_bound(kind, CH4, MhcParams(1.0, 1e-60), [0.0, 10.0])
+    zero = coverage_bound(kind, CH4, MhcParams(1.0, 0.0), [0.0, 10.0])
+    assert np.all(np.isfinite(tiny.p_c))
+    assert np.allclose(tiny.p_c, zero.p_c, rtol=1e-9, atol=0.0)
+
+
 @pytest.mark.parametrize("lambda_p,d", [(3.0, 0.5), (1.0, 0.3), (2.0, 0.4), (10.0, 0.5),
                                         (1.0, 1e-3)])
 def test_pair_density_table_matches_closed_form(lambda_p, d):
     params = MhcParams(lambda_p, d)
     ups = np.random.default_rng(5).uniform(d, 2.0 * d, 100_000)
-    table = _band_pair_density(params, ups * ups)
+    table = _band_pair_density(params, ups * ups, _pair_density_table(params))
     exact = SecondOrderDensity(params)(ups)
     assert np.max(np.abs(table - exact)) <= 1e-6 * mhc_density(params) ** 2
 

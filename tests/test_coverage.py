@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
 from stochgeo import (
@@ -21,7 +23,9 @@ from stochgeo import (
     simulate_coverage,
     sinr_sample,
 )
-from stochgeo.coverage import _trial_rng, sinr_linear
+from stochgeo import coverage
+from stochgeo.coverage import _count_chunk, _eval_trial_sinr, _trial_rng
+from stochgeo.pointprocess import R_MIN_KM
 
 
 def quiet_simulate(*args, **kwargs):
@@ -134,15 +138,98 @@ def test_scale_invariance_bit_exact():
 def test_removing_nearest_interferer_never_hurts():
     rng = np.random.default_rng(31)
     ch = ChannelParams(alpha=4.0, sigma2=0.05)
+    win = Window(20, 20, edge="guard", margin=1)
+    user = np.array([[10.0, 10.0], [10.0, 10.0]])
     for _ in range(200):
         r = rng.uniform(0.1, 1.0)
         dists = rng.uniform(r, 5.0, 8)
         fades = rng.standard_exponential(8)
         h = rng.standard_exponential()
-        full = sinr_linear(h, fades, r, dists, ch)
-        k = int(np.argmin(dists))
-        reduced = sinr_linear(h, np.delete(fades, k), r, np.delete(dists, k), ch)
-        assert reduced >= full
+        # the serving station first, then the interferers, on a ray from the user;
+        # trial 0 has every interferer, trial 1 all but the nearest
+        k = 1 + int(np.argmin(dists))
+        full = np.column_stack([10.0 + np.concatenate(([r], dists)), np.full(9, 10.0)])
+        full_fades = np.concatenate(([0.0], fades))
+        sinr, _ = _eval_trial_sinr(
+            np.concatenate([full, np.delete(full, k, axis=0)]), np.array([9, 8]), user,
+            np.array([h, h]), np.concatenate([full_fades, np.delete(full_fades, k)]), win, ch)
+        assert sinr[1] >= sinr[0]
+
+
+def reference_trial(points, window, user, serving_fade, fades, ch):
+    """Scalar SINR of one trial, station by station: (sinr, clamped, serving index)."""
+    dist = [float(x) for x in window.distances(user, points)]
+    k = dist.index(min(dist))
+    interference = sum(f * max(x, R_MIN_KM) ** -ch.alpha
+                       for j, (f, x) in enumerate(zip(fades, dist)) if j != k)
+    denom = ch.sigma2 / ch.p_t + interference
+    num = serving_fade * max(dist[k], R_MIN_KM) ** -ch.alpha
+    return (math.inf if denom == 0.0 else num / denom), dist[k] < R_MIN_KM, k
+
+
+# a quarter-km lattice makes exact distance ties common; free floats do not
+_x = st.one_of(st.integers(0, 32).map(lambda i: i / 4), st.floats(0.0, 8.0))
+_y = st.one_of(st.integers(0, 24).map(lambda i: i / 4), st.floats(0.0, 6.0))
+_fade = st.floats(0.01, 10.0)
+
+
+@st.composite
+def _trial(draw):
+    n = draw(st.integers(1, 50))
+    points = [(draw(_x), draw(_y)) for _ in range(n)]
+    on_station = draw(st.booleans())
+    user = points[draw(st.integers(0, n - 1))] if on_station else (draw(_x), draw(_y))
+    return points, user, draw(_fade), [draw(_fade) for _ in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(trials=st.lists(_trial(), min_size=1, max_size=4), toroidal=st.booleans(),
+       alpha=st.floats(2.1, 6.0), sigma2=st.sampled_from([0.0, 0.1]),
+       p_t=st.floats(0.5, 2.0))
+def test_block_scorer_matches_per_trial_reference(trials, toroidal, alpha, sigma2, p_t):
+    window = Window(8.0, 6.0) if toroidal else Window(8.0, 6.0, edge="guard", margin=1.0)
+    ch = ChannelParams(alpha, sigma2, p_t)
+    ref = [reference_trial(np.array(p), window, np.array(u), h, f, ch) for p, u, h, f in trials]
+    points = np.concatenate([np.array(p) for p, _, _, _ in trials])
+    sizes = np.array([len(p) for p, _, _, _ in trials])
+    users = np.array([u for _, u, _, _ in trials])
+    serving = np.array([h for _, _, h, _ in trials])
+    fades = np.concatenate([np.array(f) for _, _, _, f in trials])
+    sinr, clamped = _eval_trial_sinr(points, sizes, users, serving, fades, window, ch)
+    assert clamped == sum(c for _, c, _ in ref)
+    for got, (want, _, _) in zip(sinr, ref):
+        assert math.isclose(got, want, rel_tol=1e-12)
+    # the serving station's own fade is dropped: changing the fade of the
+    # reference's serving station leaves every SINR bit for bit the same
+    fades[np.cumsum(sizes) - sizes + [k for _, _, k in ref]] *= 1000.0
+    assert np.array_equal(_eval_trial_sinr(points, sizes, users, serving, fades, window, ch)[0],
+                          sinr)
+
+
+_SPLIT_SOURCES = {
+    "ppp": PppSource(0.1, Window(5, 5)),  # about 8% of trials draw no station
+    "mhc": MhcSource(MhcParams(2.0, 0.4), Window(6, 6, edge="guard", margin=0.5)),
+    "grid": FixedSource(generate_grid(12, Window(4, 3))),
+}
+_SPLIT_TRIALS = 60
+
+
+@settings(max_examples=30, deadline=None)
+@given(key=st.sampled_from(sorted(_SPLIT_SOURCES)),
+       cuts=st.lists(st.integers(0, _SPLIT_TRIALS), max_size=4),
+       block=st.integers(1, 200))
+def test_counts_independent_of_chunks_and_blocks(key, cuts, block):
+    source = _SPLIT_SOURCES[key]
+    ch = ChannelParams(alpha=4.0, sigma2=0.1)
+    beta_lin = coverage.beta_db_to_linear(np.arange(-10.0, 21.0, 5.0))
+    whole = _count_chunk(source, ch, beta_lin, 17, 0, _SPLIT_TRIALS)
+    edges = sorted({0, _SPLIT_TRIALS, *cuts})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coverage, "BLOCK_STATIONS", block)
+        parts = [_count_chunk(source, ch, beta_lin, 17, lo, hi)
+                 for lo, hi in zip(edges[:-1], edges[1:])]
+    assert np.array_equal(sum(p[0] for p in parts), whole[0])
+    assert (sum(p[1] for p in parts), sum(p[2] for p in parts)) == whole[1:]
 
 
 def test_empty_deployment_is_data_error():
