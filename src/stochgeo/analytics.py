@@ -19,8 +19,10 @@ from .errors import ParameterError
 from .pointprocess import (
     MhcParams,
     Window,
+    _check_count,
     _check_seed,
-    _rng_for,
+    _rng_from_state,
+    _stream_states,
     mhc_realization,
 )
 
@@ -152,8 +154,8 @@ def _realizations(params: MhcParams, window: Window, n_realizations: int, seed: 
     """The validators' seeded realization loop: for i in range(n_realizations),
     the generator of stream (seed, i) after its hardcore draw, so callers keep
     drawing from it, and the retained points (no window filter)."""
-    for i in range(n_realizations):
-        rng = _rng_for(seed, stream=i)
+    for words in _stream_states(seed, 0, n_realizations):
+        rng = _rng_from_state(words)
         parents, _, keep = mhc_realization(rng, params, window)
         yield rng, parents[keep]
 
@@ -165,8 +167,7 @@ def void_probability_empirical(params: MhcParams, r: float, n_realizations: int,
     nearest_distance_samples beyond r, on a torus sized for r by default."""
     if not r > 0:
         raise ParameterError("r must be > 0")
-    if n_realizations < 1:
-        raise ParameterError("n_realizations must be >= 1")
+    _check_count(n_realizations, 1, "n_realizations")
     if n_realizations < 30:
         warnings.warn(f"void probability from only {n_realizations} realizations; "
                       "standard error is unreliable", stacklevel=2)
@@ -182,8 +183,7 @@ def nearest_distance_samples(params: MhcParams, n_realizations: int, seed: int,
                              window: Window | None = None) -> np.ndarray:
     """Distance from one uniform test location to the nearest retained point,
     sampled across independent realizations."""
-    if n_realizations < 1:
-        raise ParameterError("n_realizations must be >= 1")
+    _check_count(n_realizations, 1, "n_realizations")
     seed = _check_seed(seed)
     if window is None:
         window = default_torus(params)
@@ -229,8 +229,7 @@ def pair_density_empirical(params: MhcParams, upsilons, n_realizations: int,
     torus and normalizes by area * 2*pi*u * 2h; the standard error comes from
     the spread across realizations.
     """
-    if n_realizations < 2:
-        raise ParameterError("n_realizations must be >= 2")
+    _check_count(n_realizations, 2, "n_realizations")
     seed = _check_seed(seed)
     ups = np.sort(np.asarray(upsilons, dtype=float))
     if np.any(ups <= 0):

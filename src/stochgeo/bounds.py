@@ -48,7 +48,7 @@ from .analytics import (
 )
 from .coverage import ChannelParams, CoverageCurve, beta_db_to_linear, threshold_grid
 from .errors import DataError, ParameterError
-from .pointprocess import MhcParams, Window, _check_seed
+from .pointprocess import MhcParams, Window, _check_count, _check_seed
 
 # Intervals of the pair-density table over the band d^2 <= upsilon^2 <= 4d^2.
 RHO2_TABLE_INTERVALS = 2048
@@ -293,8 +293,7 @@ def pgfl_bound_check(params: MhcParams, ch: ChannelParams, beta_linear: float,
     on a torus); the process equals a Poisson one in the d -> 0 limit, where
     lhs and rhs agree in expectation.
     """
-    if n_realizations < 100:
-        raise ParameterError("n_realizations must be >= 100")
+    _check_count(n_realizations, 100, "n_realizations")
     if beta_linear < 0:
         raise ParameterError("beta_linear must be >= 0")
     if not r > 0:

@@ -239,9 +239,8 @@ def _channel_from(args, config) -> coverage.ChannelParams:
 def _cmd_simulate(args) -> int:
     config = io.read_config(args.config) if args.config else {}
     seed = default_seed(_pick(args.seed, config, "seed", None, int))
-    trials = _pick(args.trials, config, "trials", DEFAULT_TRIALS, int)
-    if trials < 1:
-        raise ParameterError("--trials must be >= 1")
+    trials = pointprocess._check_count(
+        _pick(args.trials, config, "trials", DEFAULT_TRIALS, int), 1, "--trials")
     beta_spec = _pick(args.beta_db, config, "beta_db", DEFAULT_BETA_DB, str)
     beta_db = parse_grid_spec(beta_spec)
     ch = _channel_from(args, config)
@@ -302,15 +301,17 @@ def _cmd_bound(args) -> int:
     kinds = ([bounds.BoundKind.THEOREM1, bounds.BoundKind.PROPOSITION1]
              if kind_arg == "both" else [bounds.BoundKind(kind_arg)])
 
+    seed = trials = None
+    with_sim = args.with_sim or bool(_pick(None, config, "with_sim", 0, int))
+    if with_sim:  # check the simulation's inputs before the quadrature runs
+        seed = default_seed(_pick(args.seed, config, "seed", None, int))
+        trials = _pick(args.trials, config, "trials", DEFAULT_TRIALS, int)
+        coverage._check_run(trials, args.threads)
+
     curves = [bounds.coverage_bound(k, ch, params, beta_db, quad) for k in kinds]
 
     gaps = None
-    seed = None
-    trials = None
-    with_sim = args.with_sim or bool(_pick(None, config, "with_sim", 0, int))
     if with_sim:
-        seed = default_seed(_pick(args.seed, config, "seed", None, int))
-        trials = _pick(args.trials, config, "trials", DEFAULT_TRIALS, int)
         win = _window(window_spec or None, default_side=analytics.default_torus(params).width)
         sim = coverage.simulate_coverage(pointprocess.MhcSource(params, win), ch,
                                          beta_db, trials, seed, threads=args.threads,

@@ -28,7 +28,10 @@ from .pointprocess import (
     PointSet,
     R_MIN_KM,
     Window,
+    _check_count,
     _check_seed,
+    _rng_from_state,
+    _stream_states,
 )
 
 
@@ -148,8 +151,10 @@ def sinr_sample(user, bs: PointSet, ch: ChannelParams, rng: np.random.Generator)
     return float(sinr[0])
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+def _trial_rng(words: np.ndarray) -> np.random.Generator:
+    # Its own function, called once per trial, so that perfbench traces the
+    # per-trial generator set-up by this name (coverage.rng_setup_us).
+    return _rng_from_state(words)
 
 
 def _count_chunk(source, ch: ChannelParams, beta_lin: np.ndarray, seed: int,
@@ -160,7 +165,8 @@ def _count_chunk(source, ch: ChannelParams, beta_lin: np.ndarray, seed: int,
     Each trial draws from its own generator stream keyed by (seed, index), in
     the order stations, user x, user y, serving fade, one fade per station,
     so the reduction is independent of chunking, blocking and execution
-    order. Draws are scored in one pass per BLOCK_STATIONS stations. A trial
+    order. The streams' seed words are derived a block of trials at a time,
+    and draws are scored in one pass per BLOCK_STATIONS stations. A trial
     whose realization has no station is an outage at every threshold.
     """
     window = source.window
@@ -168,8 +174,8 @@ def _count_chunk(source, ch: ChannelParams, beta_lin: np.ndarray, seed: int,
     counts = np.zeros(len(beta_lin), dtype=np.int64)
     clamped = empty = buffered = 0
     pts, users, serving, fades = [], [], [], []
-    for trial in range(lo, hi):
-        rng = _trial_rng(seed, trial)
+    for trial, words in zip(range(lo, hi), _stream_states(seed, lo, hi)):
+        rng = _trial_rng(words)
         stations = source.points_for_trial(rng)
         if len(stations) == 0:
             empty += 1
@@ -197,13 +203,12 @@ def simulate_coverage(source, ch: ChannelParams, beta_db: Sequence[float],
 
     `source` is one of the pointprocess sources (PppSource, MhcSource,
     FixedSource) or a PointSet (treated as fixed). `threads` caps worker
-    processes (0 = auto, 1 = in-process). Results are reproducible for a
-    given seed regardless of threads.
+    processes (0 = auto, 1 = in-process; never more than the CPU count).
+    Results are reproducible for a given seed regardless of threads.
     """
     if isinstance(source, PointSet):
         source = FixedSource(source)
-    if n_trials < 1:
-        raise ParameterError("n_trials must be >= 1")
+    _check_run(n_trials, threads)
     seed = _check_seed(seed)
     beta_db = threshold_grid(beta_db)
     beta_lin = beta_db_to_linear(beta_db)
@@ -216,11 +221,12 @@ def simulate_coverage(source, ch: ChannelParams, beta_db: Sequence[float],
                       "spacings); interference truncation bias may exceed Monte Carlo "
                       "noise", stacklevel=2)
 
-    workers = threads if threads > 0 else (os.cpu_count() or 1)
+    cpus = os.cpu_count() or 1
+    workers = min(threads or cpus, cpus)
     if workers > 1 and n_trials >= 2000:
-        n_chunks = min(workers * 4, max(1, n_trials // 500))
+        n_chunks = min(workers * 4, n_trials // 500)
         edges = np.linspace(0, n_trials, n_chunks + 1, dtype=int)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
             futures = [pool.submit(_count_chunk, source, ch, beta_lin, seed, lo, hi)
                        for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
             chunks = [fut.result() for fut in futures]
@@ -239,6 +245,13 @@ def simulate_coverage(source, ch: ChannelParams, beta_db: Sequence[float],
     p = counts / n_trials
     se = np.sqrt(p * (1.0 - p) / n_trials)
     return CoverageCurve(beta_db, p, se, label or source.label)
+
+
+def _check_run(n_trials: int, threads: int) -> None:
+    """Reject a trial count outside [1, MAX_TRIALS] and a negative worker cap."""
+    _check_count(n_trials, 1, "n_trials")
+    if threads < 0:
+        raise ParameterError("threads must be >= 0 (0 = auto)")
 
 
 class FitResult(NamedTuple):
@@ -260,6 +273,7 @@ def fit_mhc(target: CoverageCurve, search: Sequence[MhcParams], ch: ChannelParam
     candidates = list(search)
     if not candidates:
         raise ParameterError("search grid must be nonempty")
+    _check_run(n_trials, threads)
     table = []
     for cand in candidates:
         win = window if window is not None else default_torus(cand)

@@ -14,6 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy.spatial import cKDTree
 
 from .errors import DataError, ParameterError
@@ -27,6 +28,20 @@ R_MIN_KM = 1e-6
 # Cap on the expected point count of one Poisson draw (about 320 MB of
 # coordinates at the cap); larger requests are rejected before any draw.
 MAX_EXPECTED_POINTS = 1e7
+
+# Cap on trial and realization counts: every stream index then fits one 32-bit
+# SeedSequence word, the only spawn key _stream_states derives.
+MAX_TRIALS = 2 ** 32
+
+# Streams derived per vectorised pass of _stream_states; bounds its memory.
+STREAM_BLOCK = 4096
+
+# numpy's SeedSequence hash constants (pool of four 32-bit words).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -161,6 +176,93 @@ def _check_seed(seed) -> int:
 def _rng_for(seed: int, stream: int = 0) -> np.random.Generator:
     # spawn_key makes substreams independent of each other and of the root
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
+
+
+def _check_count(n: int, minimum: int, name: str) -> int:
+    """A trial or realization count, checked to lie in [minimum, MAX_TRIALS]."""
+    if n < minimum:
+        raise ParameterError(f"{name} must be >= {minimum}")
+    if n > MAX_TRIALS:
+        raise ParameterError(f"{name} must be <= {MAX_TRIALS} (2**32)")
+    return n
+
+
+def _hashmix(value: np.ndarray, const: int, mult: int = _MULT_A) -> tuple[np.ndarray, int]:
+    """SeedSequence's hash of uint32 words under the running constant `const`
+    (multiplier _MULT_A for pool mixing, _MULT_B for output words); also
+    returns the next constant."""
+    nxt = const * mult & _MASK32
+    value = (value ^ const) * nxt
+    return value ^ value >> 16, nxt
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of two uint32 words."""
+    r = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return r ^ r >> 16
+
+
+def _stream_states(seed: int, lo: int, hi: int):
+    """Yield, for each stream i in [lo, hi) of `seed`, the four uint64 words
+    PCG64 seeds from: SeedSequence(entropy=seed, spawn_key=(i,))
+    .generate_state(4, np.uint64), the state _rng_for(seed, i) starts from.
+
+    SeedSequence's hash is fixed 32-bit arithmetic, so it runs here on uint32
+    arrays over up to STREAM_BLOCK streams at once. The entropy is the seed's
+    little-endian 32-bit words, padded with zeros to the pool size, then the
+    stream index (one word, since hi <= MAX_TRIALS). Words stay 1-D arrays
+    throughout, so products wrap modulo 2**32 without overflow warnings.
+    """
+    if not 0 <= lo <= hi <= MAX_TRIALS:
+        raise ParameterError(f"stream range [{lo}, {hi}) is outside [0, {MAX_TRIALS}]")
+    seed = int(seed)
+    words = [np.array([seed >> shift & _MASK32], dtype=np.uint32)
+             for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [np.zeros(1, dtype=np.uint32)] * (_POOL_SIZE - len(words))
+    for start in range(lo, hi, STREAM_BLOCK):
+        stop = min(start + STREAM_BLOCK, hi)
+        entropy = words + [np.arange(start, stop).astype(np.uint32)]
+        # pool mixing: entropy up to the pool size, all pairs, then the rest
+        const = _INIT_A
+        pool = []
+        for word in entropy[:_POOL_SIZE]:
+            hashed, const = _hashmix(word, const)
+            pool.append(hashed)
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    hashed, const = _hashmix(pool[src], const)
+                    pool[dst] = _mix(pool[dst], hashed)
+        for word in entropy[_POOL_SIZE:]:
+            for dst in range(_POOL_SIZE):
+                hashed, const = _hashmix(word, const)
+                pool[dst] = _mix(pool[dst], hashed)
+        # generate_state(4, np.uint64): eight words cycled from the pool, paired
+        # little-endian into four uint64
+        state = np.empty((stop - start, 2 * _POOL_SIZE), dtype=np.uint32)
+        const = _INIT_B
+        for k in range(2 * _POOL_SIZE):
+            state[:, k], const = _hashmix(pool[k % _POOL_SIZE], const, _MULT_B)
+        yield from state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _StreamSeed(ISeedSequence):
+    """One stream's precomputed PCG64 seed words, behind numpy's seed-sequence
+    interface."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("a stream seed holds exactly four uint64 words")
+        return self.words
+
+
+def _rng_from_state(words: np.ndarray) -> np.random.Generator:
+    """The generator of a stream whose words _stream_states derived: the same
+    stream, draw for draw, as _rng_for."""
+    return np.random.Generator(np.random.PCG64(_StreamSeed(words)))
 
 
 def ppp_points(rng: np.random.Generator, lambda_p: float, xmin: float, xmax: float,

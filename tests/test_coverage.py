@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import warnings
 
@@ -24,8 +25,8 @@ from stochgeo import (
     sinr_sample,
 )
 from stochgeo import coverage
-from stochgeo.coverage import _count_chunk, _eval_trial_sinr, _trial_rng
-from stochgeo.pointprocess import R_MIN_KM
+from stochgeo.coverage import _count_chunk, _eval_trial_sinr
+from stochgeo.pointprocess import MAX_TRIALS, R_MIN_KM, _rng_for
 
 
 def quiet_simulate(*args, **kwargs):
@@ -232,6 +233,95 @@ def test_counts_independent_of_chunks_and_blocks(key, cuts, block):
     assert (sum(p[1] for p in parts), sum(p[2] for p in parts)) == whole[1:]
 
 
+def reference_counts(source, ch, beta_lin, seed, lo, hi):
+    """_count_chunk's contract, one trial at a time on _rng_for streams."""
+    xmin, xmax, ymin, ymax = source.window.interior_bounds()
+    counts = np.zeros(len(beta_lin), dtype=np.int64)
+    clamped = empty = 0
+    for trial in range(lo, hi):
+        rng = _rng_for(seed, trial)
+        stations = source.points_for_trial(rng)
+        if len(stations) == 0:
+            empty += 1
+            continue
+        user = (rng.uniform(xmin, xmax), rng.uniform(ymin, ymax))
+        serving = rng.standard_exponential()
+        fades = rng.standard_exponential(len(stations))
+        sinr, n_clamped = _eval_trial_sinr(stations, [len(stations)], [user], [serving],
+                                           fades, source.window, ch)
+        counts += sinr[0] >= beta_lin
+        clamped += n_clamped
+    return counts, clamped, empty
+
+
+@pytest.mark.parametrize("key", sorted(_SPLIT_SOURCES))
+@pytest.mark.parametrize("seed", [0, 17, 2 ** 32 - 1, 2 ** 70 + 11])
+def test_last_trial_indices_use_the_seed_sequence_streams(key, seed):
+    source = _SPLIT_SOURCES[key]
+    ch = ChannelParams(alpha=4.0, sigma2=0.1)
+    beta_lin = coverage.beta_db_to_linear(np.arange(-10.0, 21.0, 5.0))
+    for lo, hi in ((MAX_TRIALS - 3, MAX_TRIALS), (0, 8)):
+        got = _count_chunk(source, ch, beta_lin, seed, lo, hi)
+        want = reference_counts(source, ch, beta_lin, seed, lo, hi)
+        assert np.array_equal(got[0], want[0])
+        assert got[1:] == want[1:]
+
+
+class InlinePool:
+    """ProcessPoolExecutor stand-in that runs each chunk in process and
+    records the pool size it was asked for."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("threads, cpus, n_trials, workers", [
+    (10 ** 6, 2, 2000, 2),  # a huge request is capped at the CPU count
+    (0, 3, 2000, 3),        # auto uses every CPU
+    (0, 16, 2000, 4),       # never more workers than chunks
+    (2, 8, 2500, 2),
+])
+def test_pool_size_is_capped(threads, cpus, n_trials, workers, monkeypatch):
+    monkeypatch.setattr(coverage, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(coverage.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    source = FixedSource(generate_grid(12, Window(4, 3)))
+    ch = ChannelParams(alpha=4.0, sigma2=0.1)
+    pooled = quiet_simulate(source, ch, [0.0, 5.0], n_trials, 5, threads=threads)
+    assert InlinePool.sizes == [workers]
+    single = quiet_simulate(source, ch, [0.0, 5.0], n_trials, 5, threads=1)
+    assert np.array_equal(pooled.p_c, single.p_c)
+    assert InlinePool.sizes == [workers]
+
+
+def test_negative_threads_and_huge_counts_rejected():
+    source = PppSource(1.0, Window(20, 20))
+    ch = ChannelParams(alpha=4.0, sigma2=0.1)
+    target = CoverageCurve(np.array([0.0]), np.array([0.5]), None, "t")
+    for threads in (0, 1):
+        with pytest.raises(ParameterError):
+            quiet_simulate(source, ch, [0.0], MAX_TRIALS + 1, 1, threads=threads)
+        with pytest.raises(ParameterError):
+            quiet_fit(target, [MhcParams(1.0, 0.2)], ch, 10 ** 20, 1, threads=threads)
+    with pytest.raises(ParameterError):
+        quiet_simulate(source, ch, [0.0], 10, 1, threads=-3)
+    with pytest.raises(ParameterError):
+        quiet_fit(target, [MhcParams(1.0, 0.2)], ch, 10, 1, threads=-1)
+
+
 def test_empty_deployment_is_data_error():
     win = Window(10, 10)
     empty = PointSet(np.empty((0, 2)), win, "empty")
@@ -245,7 +335,7 @@ def test_empty_realizations_count_as_outage():
     source = PppSource(0.05, Window(4, 4))
     ch = ChannelParams(alpha=4.0, sigma2=0.1)
     n, seed = 50, 1
-    empty = sum(len(source.points_for_trial(_trial_rng(seed, t))) == 0 for t in range(n))
+    empty = sum(len(source.points_for_trial(_rng_for(seed, t))) == 0 for t in range(n))
     assert 0 < empty < n
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

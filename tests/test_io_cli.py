@@ -536,6 +536,29 @@ def test_cli_validate_zero_realizations_is_a_usage_error():
                     "--realizations", "0", "--seed", "1"]) == 2
 
 
+HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--source", "ppp:lambda_p=1,window=20x20", "--trials", HUGE],
+    ["simulate", "--source", "ppp:lambda_p=1,window=20x20", "--trials", HUGE,
+     "--threads", "1"],
+    ["simulate", "--source", "ppp:lambda_p=1,window=20x20", "--trials", "10",
+     "--threads", "-3"],
+    ["bound", "--lambda-p", "3", "--d", "0.5", "--with-sim", "--trials", HUGE],
+    ["bound", "--lambda-p", "3", "--d", "0.5", "--with-sim", "--threads", "-1"],
+    ["fit", "--target", str(GOLDEN_CURVE), "--lambda-p-grid", "2", "--d-grid", "0.4",
+     "--trials", HUGE],
+    ["fit", "--target", str(GOLDEN_CURVE), "--lambda-p-grid", "2", "--d-grid", "0.4",
+     "--trials", "10", "--threads", "-3"],
+] + [["validate", check, "--lambda-p", "1", "--d", "0.3", "--r", "0.3",
+      "--realizations", HUGE] for check in ("empty-space", "rho2", "void", "pgfl-bound")])
+def test_cli_bad_trial_or_thread_count_is_a_usage_error(argv, capsys):
+    assert run(argv + ["--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_validate_zero_alpha_is_a_usage_error():
     assert run(["validate", "pgfl-bound", "--lambda-p", "1", "--d", "0.3", "--r", "0.3",
                 "--alpha", "0", "--realizations", "100"]) == 2

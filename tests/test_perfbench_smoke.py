@@ -2,8 +2,9 @@
 
 A run whose last line is not a JSON object (for instance one holding a bare
 `NaN`) cannot be scored, so each workload that exercises the Monte Carlo
-scorer or the bound quadrature is run briefly here, as the benchmark command
-runs it, and its result line is parsed strictly.
+scorer, the bound quadrature or the hardcore validators is run briefly here,
+as the benchmark command runs it, and its result line is parsed strictly;
+so is one traced run, whose line holds every per-layer metric.
 """
 
 import json
@@ -26,22 +27,40 @@ def _tree(path: Path) -> set[Path]:
     return set(path.rglob("*"))
 
 
-@pytest.mark.parametrize("workload", ["sim-models", "bound-curve"])
-def test_benchmark_result_line_is_strict_json(workload):
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+def _run_strict(workload: str, trace: int) -> dict:
+    """Run one short benchmark pass at the held-out seed and parse its last
+    line strictly; the run leaves nothing new under perfbench/."""
     out_dir = PERFBENCH / "out"
-    had_out = out_dir.exists()
+    trace_file = out_dir / f"trace-{workload}-31.json"
+    had_out, had_trace = out_dir.exists(), trace_file.exists()
     before = _tree(PERFBENCH)
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", "31", "--seconds", "0.5", "--trace", "0"],
+                           "--seed", "31", "--seconds", "0.5", "--trace", str(trace)],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
-    # the run makes its output folder if there is none; it holds nothing after a
-    # run without tracing
+    # a traced run writes its spans to trace_file; the run makes its output
+    # folder if there is none
+    if trace and not had_trace:
+        trace_file.unlink(missing_ok=True)
     if not had_out and out_dir.is_dir() and not any(out_dir.iterdir()):
         out_dir.rmdir()
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1], parse_constant=_reject_constant)
+    assert _tree(PERFBENCH) == before
+    return json.loads(proc.stdout.splitlines()[-1], parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("workload", ["sim-models", "bound-curve", "validate-mhc"])
+def test_benchmark_result_line_is_strict_json(workload):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    result = _run_strict(workload, trace=0)
     assert result["correct"] is True
     assert set(result["metrics"]) == {m["name"] for m in spec["end_to_end"]}
-    assert _tree(PERFBENCH) == before
+
+
+def test_traced_benchmark_result_line_is_strict_json():
+    # the traced run reports per-layer metrics, among them the per-trial
+    # generator set-up span coverage.rng_setup_us
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    result = _run_strict("sim-models", trace=1)
+    assert result["correct"] is True
+    assert set(result["metrics"]) == {m["name"] for m in spec["per_layer"]}

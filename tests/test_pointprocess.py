@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stochgeo import (
@@ -19,9 +19,12 @@ from stochgeo import (
 )
 from stochgeo.pointprocess import (
     MAX_EXPECTED_POINTS,
+    MAX_TRIALS,
     _grid_shape,
     _min_mark_thinning,
     _rng_for,
+    _rng_from_state,
+    _stream_states,
     mhc_realization,
     ppp_points,
 )
@@ -283,3 +286,32 @@ def test_pointset_rejects_outside_points():
     with pytest.raises(ParameterError):
         from stochgeo import PointSet
         PointSet(np.array([[20.0, 5.0]]), Window(10, 10), "test")
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 128 - 1), lo=st.integers(0, MAX_TRIALS),
+       n=st.integers(0, 12), block=st.integers(1, 5))
+@example(seed=2 ** 32 - 1, lo=MAX_TRIALS - 5, n=5, block=4)
+@example(seed=0, lo=0, n=3, block=1)
+@example(seed=2 ** 128 - 1, lo=MAX_TRIALS - 1, n=1, block=5)
+def test_block_streams_match_seed_sequence(seed, lo, n, block):
+    hi = min(lo + n, MAX_TRIALS)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pointprocess, "STREAM_BLOCK", block)
+        states = list(_stream_states(seed, lo, hi))
+    assert len(states) == hi - lo
+    for i, words in zip(range(lo, hi), states):
+        ref = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
+        assert words.dtype == np.uint64
+        assert np.array_equal(words, ref.generate_state(4, np.uint64))
+        got, want = _rng_from_state(words), _rng_for(seed, i)
+        assert got.bit_generator.state == want.bit_generator.state
+        assert np.array_equal(got.random(3), want.random(3))
+        assert got.poisson(50.0) == want.poisson(50.0)
+
+
+def test_block_streams_reject_indices_beyond_one_word():
+    with pytest.raises(ParameterError):
+        list(_stream_states(1, 0, MAX_TRIALS + 1))
+    with pytest.raises(ParameterError):
+        list(_stream_states(1, 5, 4))
