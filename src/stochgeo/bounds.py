@@ -294,8 +294,8 @@ def pgfl_bound_check(params: MhcParams, ch: ChannelParams, beta_linear: float,
     lhs and rhs agree in expectation.
     """
     _check_count(n_realizations, 100, "n_realizations")
-    if beta_linear < 0:
-        raise ParameterError("beta_linear must be >= 0")
+    if not 0 <= beta_linear < math.inf:
+        raise ParameterError("beta_linear must be finite and >= 0")
     if not r > 0:
         raise ParameterError("r must be > 0")
     seed = _check_seed(seed)

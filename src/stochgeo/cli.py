@@ -3,6 +3,9 @@
 Subcommands: sample, simulate, bound, validate, fit. Outputs are data-only
 CSVs with the full experiment config embedded as `# key=value` comment
 lines, so any output file can be rerun bit-identically via --config.
+One table, OPTIONS, declares each option once: it builds the parsers,
+resolves each value (flag, else --config, else default) and orders the
+recorded config lines.
 
 Exit codes: 0 success (for validate: all checks passed), 1 runtime/data
 error, 2 usage error.
@@ -14,6 +17,7 @@ import argparse
 import math
 import os
 import sys
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -77,15 +81,100 @@ def default_seed(args_seed) -> int:
     return 0
 
 
-def _pick(flag_value, config: dict, key: str, fallback, cast):
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        try:
-            return cast(config[key])
-        except ValueError:
-            raise ParameterError(f"bad {key} value {config[key]!r} in --config")
-    return fallback
+# ---------------------------------------------------------------------------
+# options
+
+class Option(NamedTuple):
+    """One option: flag(s) or positional name, the --config key it reads and
+    records (None: neither), the cast of a config or inline source value (and
+    of an int or float flag), the default, help and extra add_argument keywords."""
+
+    flag: str
+    key: str | None = None
+    cast: Callable[[str], Any] = str.strip
+    default: Any = None
+    help: str | None = None
+    extra: dict | None = None
+
+
+# Keyed by dest, the attribute argparse derives from the (last) flag. Rows
+# that share a config key sit together, in the order of the recorded
+# `# key=value` lines.
+OPTIONS = {opt.flag.split()[-1].lstrip("-").replace("-", "_"): opt for opt in [
+    Option("process", "source", extra=dict(nargs="?", choices=["ppp", "mhc", "grid"])),
+    Option("--source", "source", lambda v: v.split(";"), None, "ppp | mhc | grid | file, "
+           "optionally with inline parameters 'mhc:lambda_p=2,d=0.4'; repeatable",
+           dict(action="append")),
+    Option("--file", "file", help="deployment CSV for --source file"),
+    Option("--target", "file", help="curve CSV to fit against"),
+    Option("--lambda-p", "lambda_p", float, help="parent density"),
+    Option("--lambda-p-grid", "lambda_p",
+           help="candidate parent densities, 'start:step:stop' or list"),
+    Option("--d", "d", float, help="hardcore distance"),
+    Option("--d-grid", "d", help="candidate hardcore distances"),
+    Option("--n", "n_points", int, help="grid point count"),
+    Option("--window", "window", help="window as WxH in km, e.g. 20x20; point processes "
+           "outside sample default to an automatic torus"),
+    Option("--edge", "edge", help="edge policy (default: toroidal for point processes, "
+           "guard for fixed deployments)", extra=dict(choices=["toroidal", "guard"])),
+    Option("--margin", "margin", float, help="guard margin in km (default: 10%% of the "
+           "short side)"),
+    Option("--alpha", "alpha", float, 4.0, "path-loss exponent (default 4)"),
+    Option("--sigma2", "sigma2", float, 0.1, "noise power (default 0.1)"),
+    Option("--p-t", "p_t", float, 1.0, "transmit power (default 1)"),
+    Option("--beta-db", "beta_db", default=DEFAULT_BETA_DB, help="threshold grid "
+           f"'start:step:stop' or comma list (default {DEFAULT_BETA_DB})"),
+    Option("--trials", "trials", int, DEFAULT_TRIALS,
+           f"Monte Carlo trials (default {DEFAULT_TRIALS})"),
+    Option("--seed", "seed", int, help="RNG seed (default: $STOCHGEO_SEED or 0)"),
+    Option("--kind", "kind", lambda v: v if v == "both" else bounds.BoundKind(v).value,
+           "both", extra=dict(choices=["theorem1", "proposition1", "both"])),
+    Option("--n-r", "n_r", int, 128),
+    Option("--n-theta", "n_theta", int, 256),
+    Option("--n-upsilon", "n_upsilon", int, 256),
+    Option("--r-max", "r_max", float),
+    Option("--with-sim", "with_sim", int, 0, "also simulate the process and report the gap",
+           dict(action="store_true")),
+    Option("--threads", None, int, 0, "worker cap (0 = auto)"),
+    Option("--quad-scale", None, float, 1.0, "multiply all quadrature grid counts"),
+    Option("--target-label", help="curve label inside the target CSV"),
+    Option("--config", help="key=value file (or a previously emitted CSV) supplying "
+           "defaults; flags win"),
+    Option("-o --out", help="output CSV path (default: stdout)"),
+    Option("check", extra=dict(choices=["empty-space", "rho2", "void", "pgfl-bound"])),
+    Option("--r", None, float, help="probe radius / user distance"),
+    Option("--realizations", None, int),
+    Option("--ks-tol", None, float, 0.05),
+]}
+_RECORDED = list(dict.fromkeys(opt.key for opt in OPTIONS.values() if opt.key))
+
+
+class _Values:
+    """A run's option values by dest, each resolved once, on first use: the
+    flag if given (a store_true flag not given reads False), else the cast
+    --config value, else the table's default."""
+
+    def __init__(self, args):
+        self.args = args
+        self.config = io.read_config(args.config) if getattr(args, "config", None) else {}
+
+    def __getattr__(self, dest: str):
+        value = getattr(self.args, dest)
+        opt = OPTIONS.get(dest)
+        if opt is not None and opt.key and (value is None or value is False):
+            try:
+                value = opt.cast(self.config[opt.key]) if opt.key in self.config else opt.default
+            except ValueError:
+                raise ParameterError(f"bad {opt.key} value {self.config[opt.key]!r} in --config")
+        setattr(self, dest, value)
+        return value
+
+
+def _record(scenario: str, **values) -> dict[str, str]:
+    """A run's config lines: the scenario, then each set value in key order."""
+    keys = sorted((k for k, v in values.items() if v is not None and v != ""),
+                  key=_RECORDED.index)
+    return {"scenario": scenario, **{k: io.fmt(values[k]) for k in keys}}
 
 
 def _window(spec, edge=None, margin=None, default_edge="toroidal", default_side=None,
@@ -114,60 +203,48 @@ def _emit(out, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _channel(args) -> coverage.ChannelParams:
+    return coverage.ChannelParams(alpha=args.alpha, sigma2=args.sigma2, p_t=args.p_t)
+
+
 # ---------------------------------------------------------------------------
 # sample
 
 def _cmd_sample(args) -> int:
-    config = io.read_config(args.config) if args.config else {}
-    seed = default_seed(_pick(args.seed, config, "seed", None, int))
-    kind = args.process or config.get("source")
+    seed = default_seed(args.seed)
+    kind = args.process
     if kind not in ("ppp", "mhc", "grid"):
         raise ParameterError("sample needs a process: ppp, mhc or grid")
 
-    spec = _pick(args.window, config, "window", None, str)
-    win = _window(spec, _pick(args.edge, config, "edge", None, str),
-                  _pick(args.margin, config, "margin", None, float), kind=kind)
-    cfg = io.ExperimentConfig(scenario="sample", source=kind, window=spec,
-                              edge=win.edge, margin=win.margin or None)
+    win = _window(args.window, args.edge, args.margin, kind=kind)
+    params = _parse_source_spec(kind, args)
     if kind == "grid":
-        n = _pick(args.n, config, "n_points", None, int)
-        if n is None:
-            raise ParameterError("--n is required for grid")
-        ps = pointprocess.generate_grid(n, win)
-        cfg.n_points = len(ps)
+        ps = pointprocess.generate_grid(params["n"], win)
+    elif kind == "mhc":
+        mp = pointprocess.MhcParams(params["lambda_p"], params["d"])
+        ps = pointprocess.sample_mhc(mp, win, seed)
     else:
-        cfg.lambda_p = _pick(args.lambda_p, config, "lambda_p", None, float)
-        if cfg.lambda_p is None:
-            raise ParameterError("--lambda-p is required")
-        if kind == "mhc":
-            cfg.d = _pick(args.d, config, "d", None, float)
-            if cfg.d is None:
-                raise ParameterError("--d is required for mhc")
-            params = pointprocess.MhcParams(cfg.lambda_p, cfg.d)
-            ps = pointprocess.sample_mhc(params, win, seed)
-        else:
-            ps = pointprocess.sample_ppp(cfg.lambda_p, win, seed)
-    cfg.seed = ps.seed
-    _emit(args.out, io.points_csv_text(ps, cfg.to_dict()))
+        ps = pointprocess.sample_ppp(params["lambda_p"], win, seed)
+    config = _record("sample", source=kind, lambda_p=params.get("lambda_p"),
+                     d=params.get("d"), n_points=len(ps) if kind == "grid" else None,
+                     window=args.window, edge=win.edge, margin=win.margin or None,
+                     seed=ps.seed)
+    _emit(args.out, io.points_csv_text(ps, config))
     return 0
 
 
 # ---------------------------------------------------------------------------
 # simulate
 
-# the parameters each source kind needs, and where a bare source finds each:
-# inline key -> (argument attribute, flag, config key, cast)
+# the parameters each source kind needs, by inline key
 _SOURCE_NEEDS = {"ppp": ("lambda_p",), "mhc": ("lambda_p", "d"), "grid": ("n",),
                  "file": ("path",)}
-_SOURCE_FLAGS = {"lambda_p": ("lambda_p", "--lambda-p", "lambda_p", float),
-                 "d": ("d", "--d", "d", float),
-                 "n": ("n", "--n", "n_points", int),
-                 "path": ("file", "--file", "file", str)}
-_INLINE_CASTS = {"lambda_p": float, "d": float, "margin": float, "n": int,
-                 "path": str.strip, "window": str.strip, "edge": str.strip}
+# inline key -> the option a bare source reads instead, whose cast it shares
+_INLINE = {"lambda_p": "lambda_p", "d": "d", "n": "n", "path": "file",
+           "window": "window", "edge": "edge", "margin": "margin"}
 
 
-def _parse_source_spec(spec: str, args, config) -> dict:
+def _parse_source_spec(spec: str, args) -> dict:
     """A source is 'ppp|mhc|grid|file', optionally with inline parameters:
     'mhc:lambda_p=2,d=0.4[,window=18x18][,edge=toroidal][,margin=1]'.
     Bare sources take their parameters from the flags."""
@@ -180,10 +257,10 @@ def _parse_source_spec(spec: str, args, config) -> dict:
         for token in rest.split(","):
             key, _, value = token.partition("=")
             key = key.strip()
-            if key not in _INLINE_CASTS:
+            if key not in _INLINE:
                 raise ParameterError(f"unknown source parameter {key!r} in {spec!r}")
             try:
-                params[key] = _INLINE_CASTS[key](value)
+                params[key] = OPTIONS[_INLINE[key]].cast(value)
             except ValueError:
                 raise ParameterError(f"bad value {value!r} for {key} in {spec!r}")
         missing = [key for key in _SOURCE_NEEDS[kind] if key not in params]
@@ -191,28 +268,24 @@ def _parse_source_spec(spec: str, args, config) -> dict:
             raise ParameterError(f"source {spec!r} needs {', '.join(missing)}")
     else:
         for key in _SOURCE_NEEDS[kind]:
-            attr, flag, config_key, cast = _SOURCE_FLAGS[key]
-            params[key] = _pick(getattr(args, attr), config, config_key, None, cast)
+            params[key] = getattr(args, _INLINE[key])
             if params[key] is None:
-                raise ParameterError(f"{flag} is required for source {kind}")
+                raise ParameterError(f"{OPTIONS[_INLINE[key]].flag} is required for source {kind}")
     return params
 
 
-def _build_source(params: dict, args, config):
+def _build_source(params: dict, args):
     kind = params["kind"]
-    spec = params.get("window") or _pick(args.window, config, "window", None, str)
-    edge = params.get("edge") or _pick(args.edge, config, "edge", None, str)
-    margin = params.get("margin", _pick(args.margin, config, "margin", None, float))
-    if kind == "ppp":
-        lam = params["lambda_p"]
-        # MHC with d = 0 is the PPP
-        side = analytics.default_torus(pointprocess.MhcParams(lam, 0.0)).width
-        win = _window(spec, edge, margin, default_side=side, kind=kind)
-        return pointprocess.PppSource(lam, win)
-    if kind == "mhc":
-        mp = pointprocess.MhcParams(params["lambda_p"], params["d"])
+    spec = params.get("window") or args.window
+    edge = params.get("edge") or args.edge
+    margin = params.get("margin", args.margin)
+    if kind in ("ppp", "mhc"):
+        # the PPP is the MHC with d = 0, and its torus is sized as such
+        mp = pointprocess.MhcParams(params["lambda_p"], params["d"] if kind == "mhc" else 0.0)
         win = _window(spec, edge, margin, default_side=analytics.default_torus(mp).width,
                       kind=kind)
+        if kind == "ppp":
+            return pointprocess.PppSource(params["lambda_p"], win)
         return pointprocess.MhcSource(mp, win)
     win = _window(spec, edge, margin, default_edge="guard", kind=kind)
     if kind == "grid":
@@ -221,98 +294,61 @@ def _build_source(params: dict, args, config):
 
 
 def _source_to_config(params: dict) -> str:
-    kind = params["kind"]
-    keys = [k for k in ("lambda_p", "d", "n", "path", "window", "edge", "margin")
-            if k in params and params[k] is not None]
-    if not keys:
-        return kind
-    return kind + ":" + ",".join(f"{k}={io.fmt(params[k])}" for k in keys)
-
-
-def _channel_from(args, config) -> coverage.ChannelParams:
-    alpha = _pick(args.alpha, config, "alpha", 4.0, float)
-    sigma2 = _pick(args.sigma2, config, "sigma2", 0.1, float)
-    p_t = _pick(args.p_t, config, "p_t", 1.0, float)
-    return coverage.ChannelParams(alpha=alpha, sigma2=sigma2, p_t=p_t)
+    inline = ",".join(f"{k}={io.fmt(params[k])}" for k in _INLINE
+                      if params.get(k) is not None)
+    return f"{params['kind']}:{inline}" if inline else params["kind"]
 
 
 def _cmd_simulate(args) -> int:
-    config = io.read_config(args.config) if args.config else {}
-    seed = default_seed(_pick(args.seed, config, "seed", None, int))
-    trials = pointprocess._check_count(
-        _pick(args.trials, config, "trials", DEFAULT_TRIALS, int), 1, "--trials")
-    beta_spec = _pick(args.beta_db, config, "beta_db", DEFAULT_BETA_DB, str)
-    beta_db = parse_grid_spec(beta_spec)
-    ch = _channel_from(args, config)
+    seed = default_seed(args.seed)
+    trials = pointprocess._check_count(args.trials, 1, OPTIONS["trials"].flag)
+    beta_db = parse_grid_spec(args.beta_db)
+    ch = _channel(args)
 
-    specs = args.source or (config["source"].split(";") if "source" in config else [])
-    if not specs:
+    if not args.source:
         raise ParameterError("--source is required (ppp, mhc, grid or file)")
-    if len(specs) > 1 and any(":" not in s for s in specs):
+    if len(args.source) > 1 and any(":" not in s for s in args.source):
         raise ParameterError("with multiple sources, give each its parameters "
                              "inline, e.g. mhc:lambda_p=2,d=0.4")
 
-    parsed = [_parse_source_spec(s, args, config) for s in specs]
-    curves = []
-    for p in parsed:
-        source = _build_source(p, args, config)
-        curves.append(coverage.simulate_coverage(source, ch, beta_db, trials, seed,
-                                                 threads=args.threads))
-    cfg = io.ExperimentConfig(scenario="simulate",
-                              source=";".join(_source_to_config(p) for p in parsed),
-                              window=_pick(args.window, config, "window", None, str),
-                              edge=_pick(args.edge, config, "edge", None, str),
-                              margin=_pick(args.margin, config, "margin", None, float),
-                              alpha=ch.alpha, sigma2=ch.sigma2, p_t=ch.p_t,
-                              beta_db=beta_spec, trials=trials, seed=seed)
-    _emit(args.out, io.curves_csv_text(curves, cfg.to_dict()))
+    parsed = [_parse_source_spec(s, args) for s in args.source]
+    curves = [coverage.simulate_coverage(_build_source(p, args), ch, beta_db, trials, seed,
+                                         threads=args.threads) for p in parsed]
+    config = _record("simulate", source=";".join(_source_to_config(p) for p in parsed),
+                     window=args.window, edge=args.edge, margin=args.margin,
+                     alpha=ch.alpha, sigma2=ch.sigma2, p_t=ch.p_t,
+                     beta_db=args.beta_db, trials=trials, seed=seed)
+    _emit(args.out, io.curves_csv_text(curves, config))
     return 0
 
 
 # ---------------------------------------------------------------------------
 # bound
 
-def _quad_from(args, config) -> bounds.QuadConfig:
-    quad = bounds.QuadConfig(
-        n_r=_pick(args.n_r, config, "n_r", 128, int),
-        n_theta=_pick(args.n_theta, config, "n_theta", 256, int),
-        n_upsilon=_pick(args.n_upsilon, config, "n_upsilon", 256, int),
-        r_max=_pick(args.r_max, config, "r_max", None, float),
-    )
+def _cmd_bound(args) -> int:
+    if args.lambda_p is None or args.d is None:
+        raise ParameterError("--lambda-p and --d are required")
+    params = pointprocess.MhcParams(args.lambda_p, args.d)
+    ch = _channel(args)
+    beta_db = parse_grid_spec(args.beta_db)
+    quad = bounds.QuadConfig(n_r=args.n_r, n_theta=args.n_theta, n_upsilon=args.n_upsilon,
+                             r_max=args.r_max)
     if args.quad_scale != 1.0:
         quad = quad.scaled(args.quad_scale)
-    return quad
-
-
-def _cmd_bound(args) -> int:
-    config = io.read_config(args.config) if args.config else {}
-    lambda_p = _pick(args.lambda_p, config, "lambda_p", None, float)
-    d = _pick(args.d, config, "d", None, float)
-    if lambda_p is None or d is None:
-        raise ParameterError("--lambda-p and --d are required")
-    params = pointprocess.MhcParams(lambda_p, d)
-    ch = _channel_from(args, config)
-    beta_spec = _pick(args.beta_db, config, "beta_db", DEFAULT_BETA_DB, str)
-    beta_db = parse_grid_spec(beta_spec)
-    quad = _quad_from(args, config)
-    kind_arg = _pick(args.kind, config, "kind", "both",
-                     lambda v: v if v == "both" else bounds.BoundKind(v).value)
-    window_spec = _pick(args.window, config, "window", None, str)
-    kinds = ([bounds.BoundKind.THEOREM1, bounds.BoundKind.PROPOSITION1]
-             if kind_arg == "both" else [bounds.BoundKind(kind_arg)])
+    kinds = list(bounds.BoundKind) if args.kind == "both" else [bounds.BoundKind(args.kind)]
 
     seed = trials = None
-    with_sim = args.with_sim or bool(_pick(None, config, "with_sim", 0, int))
+    with_sim = bool(args.with_sim)
     if with_sim:  # check the simulation's inputs before the quadrature runs
-        seed = default_seed(_pick(args.seed, config, "seed", None, int))
-        trials = _pick(args.trials, config, "trials", DEFAULT_TRIALS, int)
+        seed = default_seed(args.seed)
+        trials = args.trials
         coverage._check_run(trials, args.threads)
 
     curves = [bounds.coverage_bound(k, ch, params, beta_db, quad) for k in kinds]
 
     gaps = None
     if with_sim:
-        win = _window(window_spec or None, default_side=analytics.default_torus(params).width)
+        win = _window(args.window or None, default_side=analytics.default_torus(params).width)
         sim = coverage.simulate_coverage(pointprocess.MhcSource(params, win), ch,
                                          beta_db, trials, seed, threads=args.threads,
                                          label="simulated")
@@ -322,14 +358,12 @@ def _cmd_bound(args) -> int:
             mean_gap = float(np.mean(np.abs(gaps[c.label])))
             print(f"mean |simulated - {c.label}| = {mean_gap:.4f}")
 
-    cfg = io.ExperimentConfig(scenario="bound", lambda_p=lambda_p, d=d, window=window_spec,
-                              alpha=ch.alpha, sigma2=ch.sigma2, p_t=ch.p_t,
-                              beta_db=beta_spec, kind=kind_arg,
-                              n_r=quad.n_r, n_theta=quad.n_theta,
-                              n_upsilon=quad.n_upsilon, r_max=quad.r_max,
-                              trials=trials, seed=seed,
-                              with_sim=1 if with_sim else None)
-    _emit(args.out, io.curves_csv_text(curves, cfg.to_dict(), gaps))
+    config = _record("bound", lambda_p=args.lambda_p, d=args.d, window=args.window,
+                     alpha=ch.alpha, sigma2=ch.sigma2, p_t=ch.p_t, beta_db=args.beta_db,
+                     kind=args.kind, n_r=quad.n_r, n_theta=quad.n_theta,
+                     n_upsilon=quad.n_upsilon, r_max=quad.r_max, trials=trials, seed=seed,
+                     with_sim=1 if with_sim else None)
+    _emit(args.out, io.curves_csv_text(curves, config, gaps))
     return 0
 
 
@@ -337,24 +371,21 @@ def _cmd_bound(args) -> int:
 # validate
 
 def _cmd_validate(args) -> int:
-    lambda_p = args.lambda_p
-    d = args.d
-    if lambda_p is None or d is None:
-        raise ParameterError("--lambda-p and --d are required")
-    params = pointprocess.MhcParams(lambda_p, d)
+    params = pointprocess.MhcParams(args.lambda_p, args.d)
     seed = default_seed(args.seed)
-    n = (DEFAULT_REALIZATIONS.get(args.check) if args.realizations is None
-         else args.realizations)
-    failures = 0
+    n = DEFAULT_REALIZATIONS[args.check] if args.realizations is None else args.realizations
+    if args.check in ("void", "pgfl-bound") and args.r is None:
+        raise ParameterError(f"--r is required for {args.check}")
 
     if args.check == "empty-space":
+        if not 0 < args.ks_tol < math.inf:
+            raise ParameterError("--ks-tol must be finite and > 0")
         ks = analytics.empty_space_ks(params, n, seed)
         ok = ks.statistic < args.ks_tol
-        failures += not ok
-        print(f"{'PASS' if ok else 'FAIL'} empty-space: KS={ks.statistic:.4f} "
-              f"(n={ks.n_samples}, tol={args.ks_tol:g})")
+        report = (f"empty-space: KS={ks.statistic:.4f} (n={ks.n_samples}, "
+                  f"tol={args.ks_tol:g})")
     elif args.check == "rho2":
-        ups = np.linspace(d, 2 * d, 12)[1:-1]
+        ups = np.linspace(args.d, 2 * args.d, 12)[1:-1]
         est = analytics.pair_density_empirical(params, ups, n, seed)
         ref = analytics.second_order_density(est.upsilon, params)
         print("upsilon,analytic,empirical,std_err,z")
@@ -364,72 +395,51 @@ def _cmd_validate(args) -> int:
             worst = max(worst, z)
             print(f"{u:.4f},{a:.5f},{e:.5f},{s:.5f},{z:.2f}")
         ok = worst <= 3.0
-        failures += not ok
-        print(f"{'PASS' if ok else 'FAIL'} rho2: worst |z| = {worst:.2f} (limit 3)")
+        report = f"rho2: worst |z| = {worst:.2f} (limit 3)"
     elif args.check == "void":
-        if args.r is None:
-            raise ParameterError("--r is required for void")
         est = analytics.void_probability_empirical(params, args.r, n, seed)
         lam_m = analytics.mhc_density(params)
         ref = math.exp(-lam_m * math.pi * args.r ** 2)
         z = abs(est.probability - ref) / est.std_error if est.std_error else math.inf
         ok = z <= 3.0
-        failures += not ok
-        print(f"{'PASS' if ok else 'FAIL'} void: empirical={est.probability:.4f} "
-              f"+-{est.std_error:.4f}, reference={ref:.4f}, z={z:.2f}")
-    elif args.check == "pgfl-bound":
-        if args.r is None:
-            raise ParameterError("--r is required for pgfl-bound")
+        report = (f"void: empirical={est.probability:.4f} +-{est.std_error:.4f}, "
+                  f"reference={ref:.4f}, z={z:.2f}")
+    else:
         ch = coverage.ChannelParams(alpha=args.alpha, sigma2=0.0)
         beta_lin = coverage.beta_db_to_linear(args.beta_db_value)
         check = bounds.pgfl_bound_check(params, ch, float(beta_lin), args.r, n, seed)
         slack = 3.0 * math.hypot(check.lhs_se, check.rhs_se)
         ok = check.lhs >= check.rhs - slack
-        failures += not ok
-        print(f"{'PASS' if ok else 'FAIL'} pgfl-bound: lhs={check.lhs:.4f}"
-              f"+-{check.lhs_se:.4f} rhs={check.rhs:.4f}+-{check.rhs_se:.4f}")
-    else:
-        raise ParameterError(f"unknown check {args.check!r}")
-    return 1 if failures else 0
+        report = (f"pgfl-bound: lhs={check.lhs:.4f}+-{check.lhs_se:.4f} "
+                  f"rhs={check.rhs:.4f}+-{check.rhs_se:.4f}")
+    print(f"{'PASS' if ok else 'FAIL'} {report}")
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
 # fit
 
 def _cmd_fit(args) -> int:
-    config = io.read_config(args.config) if args.config else {}
-    target_path = _pick(args.target, config, "file", None, str)
-    if target_path is None:
+    if args.target is None:
         raise ParameterError("--target curve CSV is required")
-    curves, _ = io.read_curves_csv(target_path)
-    if args.target_label:
-        matches = [c for c in curves if c.label == args.target_label]
-        if not matches:
-            raise DataError(f"no curve labeled {args.target_label!r} in {target_path}")
-        target = matches[0]
-    else:
-        target = curves[0]
+    curves, _ = io.read_curves_csv(args.target)
+    label = args.target_label
+    target = next((c for c in curves if not label or c.label == label), None)
+    if target is None:
+        raise DataError(f"no curve labeled {label!r} in {args.target}")
 
-    lam_grid = parse_grid_spec(_pick(args.lambda_p_grid, config, "lambda_p", None, str)
-                               or _fail("--lambda-p-grid is required"))
-    d_grid = parse_grid_spec(_pick(args.d_grid, config, "d", None, str)
-                             or _fail("--d-grid is required"))
+    lam_grid = parse_grid_spec(args.lambda_p_grid or _fail("--lambda-p-grid is required"))
+    d_grid = parse_grid_spec(args.d_grid or _fail("--d-grid is required"))
     candidates = [pointprocess.MhcParams(float(lp), float(dd))
                   for lp in lam_grid for dd in d_grid]
-    ch = _channel_from(args, config)
-    seed = default_seed(_pick(args.seed, config, "seed", None, int))
-    trials = _pick(args.trials, config, "trials", DEFAULT_TRIALS, int)
-    window_spec = _pick(args.window, config, "window", None, str)
-    window = _window(window_spec) if window_spec else None
-
-    result = coverage.fit_mhc(target, candidates, ch, trials, seed,
-                              window=window, threads=args.threads)
+    result = coverage.fit_mhc(target, candidates, _channel(args), args.trials,
+                              default_seed(args.seed), threads=args.threads,
+                              window=_window(args.window) if args.window else None)
     print(f"best lambda_p={result.params.lambda_p:g} d={result.params.d:g} "
           f"mse={result.error:.6g}")
-    lines = ["lambda_p,d,mse"]
-    for cand, err in result.table:
-        lines.append(f"{io.fmt(cand.lambda_p)},{io.fmt(cand.d)},{io.fmt(err)}")
-    _emit(args.out, "\n".join(lines) + "\n")
+    _emit(args.out, "lambda_p,d,mse\n" + "".join(
+        f"{io.fmt(cand.lambda_p)},{io.fmt(cand.d)},{io.fmt(err)}\n"
+        for cand, err in result.table))
     return 0
 
 
@@ -439,109 +449,44 @@ def _fail(message: str):
 
 # ---------------------------------------------------------------------------
 
+# subcommand -> (help, handler, the dests of its options in parser order,
+# add_argument keywords that override a row's for this subcommand)
+_COMMANDS = {
+    "sample": ("sample a deployment to CSV", _cmd_sample,
+               "process lambda_p d n window edge margin config out seed", {}),
+    "simulate": ("Monte Carlo coverage curve(s)", _cmd_simulate, "source lambda_p d n file "
+                 "beta_db trials threads window edge margin alpha sigma2 p_t config out seed", {}),
+    "bound": ("quadrature lower bounds on MHC coverage", _cmd_bound, "kind lambda_p d beta_db "
+              "quad_scale n_r n_theta n_upsilon r_max with_sim trials threads window alpha "
+              "sigma2 p_t config out seed", {}),
+    "validate": ("empirical checks of the analytics", _cmd_validate,
+                 "check lambda_p d r alpha beta_db realizations ks_tol seed",
+                 {"lambda_p": dict(required=True), "d": dict(required=True),
+                  "alpha": dict(default=4.0),
+                  "beta_db": dict(dest="beta_db_value", type=float, default=0.0,
+                                  help="threshold for pgfl-bound (dB, default 0)")}),
+    "fit": ("fit hardcore parameters to a coverage curve", _cmd_fit, "target target_label "
+            "lambda_p_grid d_grid trials threads window alpha sigma2 p_t config out seed", {}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stochgeo",
         description="Spatial point-process deployments, SINR coverage simulation, "
                     "and hardcore coverage bounds.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, seeded=True):
-        p.add_argument("--config", help="key=value file (or a previously emitted "
-                                        "CSV) supplying defaults; flags win")
-        p.add_argument("-o", "--out", help="output CSV path (default: stdout)")
-        if seeded:
-            p.add_argument("--seed", type=int, help="RNG seed (default: "
-                                                    "$STOCHGEO_SEED or 0)")
-
-    def window_flags(p):
-        p.add_argument("--window", help="window as WxH in km, e.g. 20x20")
-        p.add_argument("--edge", choices=["toroidal", "guard"],
-                       help="edge policy (default: toroidal for point processes, "
-                            "guard for fixed deployments)")
-        p.add_argument("--margin", type=float,
-                       help="guard margin in km (default: 10%% of the short side)")
-
-    def channel_flags(p):
-        p.add_argument("--alpha", type=float, help="path-loss exponent (default 4)")
-        p.add_argument("--sigma2", type=float, help="noise power (default 0.1)")
-        p.add_argument("--p-t", dest="p_t", type=float,
-                       help="transmit power (default 1)")
-
-    p = sub.add_parser("sample", help="sample a deployment to CSV")
-    p.add_argument("process", nargs="?", choices=["ppp", "mhc", "grid"])
-    p.add_argument("--lambda-p", dest="lambda_p", type=float, help="parent density")
-    p.add_argument("--d", type=float, help="hardcore distance")
-    p.add_argument("--n", type=int, help="grid point count")
-    window_flags(p)
-    common(p)
-    p.set_defaults(func=_cmd_sample)
-
-    p = sub.add_parser("simulate", help="Monte Carlo coverage curve(s)")
-    p.add_argument("--source", action="append",
-                   help="ppp | mhc | grid | file, optionally with inline "
-                        "parameters 'mhc:lambda_p=2,d=0.4'; repeatable")
-    p.add_argument("--lambda-p", dest="lambda_p", type=float)
-    p.add_argument("--d", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--file", help="deployment CSV for --source file")
-    p.add_argument("--beta-db", dest="beta_db",
-                   help="threshold grid 'start:step:stop' or comma list "
-                        f"(default {DEFAULT_BETA_DB})")
-    p.add_argument("--trials", type=int, help=f"Monte Carlo trials (default {DEFAULT_TRIALS})")
-    p.add_argument("--threads", type=int, default=0, help="worker cap (0 = auto)")
-    window_flags(p)
-    channel_flags(p)
-    common(p)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("bound", help="quadrature lower bounds on MHC coverage")
-    p.add_argument("--kind", choices=["theorem1", "proposition1", "both"])
-    p.add_argument("--lambda-p", dest="lambda_p", type=float)
-    p.add_argument("--d", type=float)
-    p.add_argument("--beta-db", dest="beta_db")
-    p.add_argument("--quad-scale", type=float, default=1.0,
-                   help="multiply all quadrature grid counts")
-    p.add_argument("--n-r", dest="n_r", type=int)
-    p.add_argument("--n-theta", dest="n_theta", type=int)
-    p.add_argument("--n-upsilon", dest="n_upsilon", type=int)
-    p.add_argument("--r-max", dest="r_max", type=float)
-    p.add_argument("--with-sim", action="store_true",
-                   help="also simulate the process and report the gap")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--threads", type=int, default=0)
-    p.add_argument("--window", help="window for --with-sim (default: auto torus)")
-    channel_flags(p)
-    common(p)
-    p.set_defaults(func=_cmd_bound)
-
-    p = sub.add_parser("validate", help="empirical checks of the analytics")
-    p.add_argument("check", choices=["empty-space", "rho2", "void", "pgfl-bound"])
-    p.add_argument("--lambda-p", dest="lambda_p", type=float, required=True)
-    p.add_argument("--d", type=float, required=True)
-    p.add_argument("--r", type=float, help="probe radius / user distance")
-    p.add_argument("--alpha", type=float, default=4.0, help="path-loss exponent (default 4)")
-    p.add_argument("--beta-db", dest="beta_db_value", type=float, default=0.0,
-                   help="threshold for pgfl-bound (dB, default 0)")
-    p.add_argument("--realizations", type=int)
-    p.add_argument("--ks-tol", dest="ks_tol", type=float, default=0.05)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("fit", help="fit hardcore parameters to a coverage curve")
-    p.add_argument("--target", help="curve CSV to fit against")
-    p.add_argument("--target-label", help="curve label inside the target CSV")
-    p.add_argument("--lambda-p-grid", dest="lambda_p_grid",
-                   help="candidate parent densities, 'start:step:stop' or list")
-    p.add_argument("--d-grid", dest="d_grid",
-                   help="candidate hardcore distances")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--threads", type=int, default=0)
-    p.add_argument("--window", help="common simulation window (default: per-candidate torus)")
-    channel_flags(p)
-    common(p)
-    p.set_defaults(func=_cmd_fit)
-
+    for name, (help_text, func, dests, overrides) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for dest in dests.split():
+            opt = OPTIONS[dest]
+            kwargs = {"help": opt.help, **(opt.extra or {})}
+            if opt.cast in (int, float) and "action" not in kwargs:
+                kwargs["type"] = opt.cast
+            if opt.key is None:  # a config-backed flag stays None until given
+                kwargs["default"] = opt.default
+            p.add_argument(*opt.flag.split(), **{**kwargs, **overrides.get(dest, {})})
+        p.set_defaults(func=func)
     return parser
 
 
@@ -549,14 +494,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return args.func(_Values(args))
     except SystemExit as exc:  # argparse usage errors / --help
         return int(exc.code or 0)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, FileNotFoundError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DataError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -10,7 +10,6 @@ bit; embedded config lines let any output be rerun exactly.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,44 +23,6 @@ def fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
-
-
-@dataclass
-class ExperimentConfig:
-    """Flat, fully serializable record of one CLI experiment.
-
-    Only fields relevant to the command are set; everything recorded here
-    plus the seed is enough to rerun the experiment bit-identically.
-    """
-
-    scenario: str = ""
-    source: str | None = None
-    file: str | None = None
-    lambda_p: float | None = None
-    d: float | None = None
-    n_points: int | None = None
-    window: str | None = None
-    edge: str | None = None
-    margin: float | None = None
-    alpha: float | None = None
-    sigma2: float | None = None
-    p_t: float | None = None
-    beta_db: str | None = None
-    trials: int | None = None
-    seed: int | None = None
-    kind: str | None = None
-    n_r: int | None = None
-    n_theta: int | None = None
-    n_upsilon: int | None = None
-    r_max: float | None = None
-    with_sim: int | None = None
-
-    def to_dict(self) -> dict[str, str]:
-        out = {}
-        for key, value in asdict(self).items():
-            if value is not None and value != "":
-                out[key] = fmt(value)
-        return out
 
 
 def config_lines(config: dict[str, str]) -> list[str]:

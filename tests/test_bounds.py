@@ -323,3 +323,9 @@ def test_pgfl_equality_in_ppp_limit():
 def test_pgfl_requires_enough_realizations():
     with pytest.raises(ParameterError):
         pgfl_bound_check(MhcParams(1.0, 0.3), CH4, 1.0, 0.3, 50, 1)
+
+
+@pytest.mark.parametrize("beta_linear", [math.nan, math.inf, -1.0])
+def test_pgfl_rejects_non_finite_or_negative_threshold(beta_linear):
+    with pytest.raises(ParameterError):
+        pgfl_bound_check(MhcParams(1.0, 0.3), CH4, beta_linear, 0.3, 100, 1)

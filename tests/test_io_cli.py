@@ -1,4 +1,8 @@
+import contextlib
+import io
 import math
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -6,10 +10,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stochgeo import CoverageCurve, Window, load_deployment
-from stochgeo.cli import main, parse_grid_spec, parse_window
+from stochgeo import CoverageCurve, Window, cli, load_deployment
+from stochgeo.cli import OPTIONS, _record, main, parse_grid_spec, parse_window
 from stochgeo.io import (
-    ExperimentConfig,
     config_lines,
     fmt,
     parse_kv_comments,
@@ -73,18 +76,26 @@ _config_float = st.floats(allow_nan=False) | st.none()
 _config_int = st.integers() | st.none()
 
 
-@given(st.builds(
-    ExperimentConfig, scenario=_config_text, source=_config_text | st.none(),
-    file=_config_text | st.none(), window=_config_text | st.none(),
-    edge=_config_text | st.none(), beta_db=_config_text | st.none(),
-    kind=_config_text | st.none(), lambda_p=_config_float, d=_config_float,
-    margin=_config_float, alpha=_config_float, sigma2=_config_float, p_t=_config_float,
-    r_max=_config_float, n_points=_config_int,
-    trials=_config_int, seed=_config_int, n_r=_config_int, n_theta=_config_int,
-    n_upsilon=_config_int, with_sim=_config_int))
-def test_config_lines_round_trip_through_parse_kv_comments(cfg):
-    flat = cfg.to_dict()
+# the value strategy of each recorded config key, from the cast of its first row
+_CONFIG_VALUES = {}
+for _opt in OPTIONS.values():
+    if _opt.key:
+        _CONFIG_VALUES.setdefault(_opt.key, {float: _config_float, int: _config_int}.get(
+            _opt.cast, _config_text | st.none()))
+
+
+@given(scenario=_config_text, values=st.fixed_dictionaries(_CONFIG_VALUES))
+def test_config_lines_round_trip_through_parse_kv_comments(scenario, values):
+    flat = _record(scenario, **values)
     assert list(parse_kv_comments(config_lines(flat)).items()) == list(flat.items())
+    assert list(flat) == ["scenario", *(k for k in _CONFIG_VALUES if k in flat)]
+
+
+def test_config_keys_are_recorded_in_a_fixed_order():
+    assert list(_CONFIG_VALUES) == [
+        "source", "file", "lambda_p", "d", "n_points", "window", "edge", "margin", "alpha",
+        "sigma2", "p_t", "beta_db", "trials", "seed", "kind", "n_r", "n_theta", "n_upsilon",
+        "r_max", "with_sim"]
 
 
 def test_parse_kv_comments_ignores_data_rows():
@@ -569,3 +580,93 @@ def test_cli_bad_config_value_is_a_usage_error(tmp_path, capsys):
     cfg.write_text("source=grid\nn_points=2.5\nwindow=10x10\ntrials=10\n")
     assert run(["simulate", "--config", str(cfg)]) == 2
     assert "n_points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("beta_db", ["nan", "inf"])
+def test_cli_validate_pgfl_non_finite_threshold_is_a_usage_error(beta_db, capsys):
+    assert run(["validate", "pgfl-bound", "--lambda-p", "1", "--d", "0.3", "--r", "0.3",
+                f"--beta-db={beta_db}", "--realizations", "100"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_cli_validate_ks_tol_must_be_finite_and_positive(tol, capsys):
+    assert run(["validate", "empty-space", "--lambda-p", "1", "--d", "0.5",
+                "--realizations", "100", f"--ks-tol={tol}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 7.28 TiB for an array"),
+     "Unable to allocate 7.28 TiB for an array"),
+    (MemoryError(), "MemoryError"),
+])
+@pytest.mark.parametrize("module, name, argv", [
+    ("bounds", "coverage_bound", ["bound", "--lambda-p", "3", "--d", "0.5", "--beta-db", "10",
+                                  "--kind", "theorem1"]),
+    ("analytics", "empty_space_ks", ["validate", "empty-space", "--lambda-p", "1",
+                                     "--d", "0.5"]),
+])
+def test_cli_out_of_memory_is_a_one_line_data_error(module, name, argv, exc, message,
+                                                    monkeypatch, capsys):
+    # stands in for an allocation too large for the machine, e.g. --n-theta 1e12
+    def boom(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(getattr(cli, module), name, boom)
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# Whole-argument-list fuzz. Each command starts from safe values and argparse
+# keeps a flag's last value, so a drawn value can only make a run smaller or
+# invalid: at most 2 trials (no worker pool starts below 2000), at most 100
+# realizations, quadrature grids of 16 to 32 nodes.
+_FUZZ_VALUES = ["inf", "nan", "-1", "0", "1", "2", "0.4", "abc", "", "10x10"]
+_FUZZ_PREFIX = {
+    "sample": ["--window", "10x10", "--lambda-p", "1", "--d", "0.4", "--n", "4"],
+    "simulate": ["--trials", "1", "--threads", "1", "--beta-db", "0", "--source", "mhc",
+                 "--lambda-p", "1", "--d", "0.4", "--n", "4"],
+    "bound": ["--trials", "1", "--threads", "1", "--n-r", "16", "--n-theta", "16",
+              "--n-upsilon", "16", "--lambda-p", "1", "--d", "0.5", "--beta-db", "0"],
+    "validate": ["--realizations", "100", "--lambda-p", "1", "--d", "0.5"],
+    "fit": ["--trials", "1", "--threads", "1", "--target", str(GOLDEN_CURVE.resolve()),
+            "--lambda-p-grid", "2", "--d-grid", "0.4"],
+}
+_FUZZ_PARSERS = {a.dest: a for a in cli.build_parser()._actions}["command"].choices
+
+
+@st.composite
+def _fuzzed_argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_PREFIX)))
+    actions = [a for a in _FUZZ_PARSERS[command]._actions if a.dest != "help"]
+    argv = [command]
+    for action in actions:
+        if not action.option_strings:  # a positional: one of its choices, or none
+            argv += draw(st.sampled_from([[c] for c in action.choices]
+                                         + ([[]] if action.nargs == "?" else [])))
+    argv += _FUZZ_PREFIX[command]
+    for action in draw(st.lists(st.sampled_from([a for a in actions if a.option_strings]),
+                                max_size=4)):
+        argv.append(draw(st.sampled_from(action.option_strings)))
+        if action.nargs != 0:
+            kinds = ["ppp", "mhc", "grid", "file"] if action.dest == "source" else []
+            argv.append(draw(st.sampled_from(list(action.choices or kinds) + _FUZZ_VALUES)))
+    return argv
+
+
+@pytest.mark.filterwarnings("ignore")
+@settings(max_examples=60, deadline=None)
+@given(argv=_fuzzed_argv())
+def test_cli_fuzzed_argument_lists_exit_0_1_or_2(argv):
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        os.chdir(tmp)  # -o and --config values name files in a fresh directory
+        try:
+            code = main(argv)
+        finally:
+            os.chdir(here)
+    assert code in (0, 1, 2)
