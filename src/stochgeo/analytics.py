@@ -21,6 +21,7 @@ from .pointprocess import (
     Window,
     _check_count,
     _check_seed,
+    _close_pairs,
     _rng_from_state,
     _stream_states,
     mhc_realization,
@@ -227,7 +228,8 @@ def pair_density_empirical(params: MhcParams, upsilons, n_realizations: int,
 
     Counts ordered point pairs falling in [u-h, u+h] per realization on a
     torus and normalizes by area * 2*pi*u * 2h; the standard error comes from
-    the spread across realizations.
+    the spread across realizations. Distances are minimum-image, so the torus
+    must be more than twice as wide as the largest bin edge.
     """
     _check_count(n_realizations, 2, "n_realizations")
     seed = _check_seed(seed)
@@ -241,14 +243,18 @@ def pair_density_empirical(params: MhcParams, upsilons, n_realizations: int,
     if halfwidth is None:
         halfwidth = 0.02 * params.d if params.d > 0 else 0.02 * float(ups.min())
     edges = np.concatenate([ups - halfwidth, ups + halfwidth])
-    order = np.argsort(edges)
-    inverse = np.argsort(order)
+    reach = float(np.abs(edges).max())
+    if reach >= min(window.width, window.height) / 2:
+        raise ParameterError("the largest bin edge must be < half the window size "
+                             "for toroidal pair counts")
+    # a pair is in a bin when lower edge^2 < distance^2 <= upper edge^2
+    edges2 = edges * edges
     norm = window.area * 2.0 * math.pi * ups * 2.0 * halfwidth
     per_real = np.empty((n_realizations, len(ups)))
     for i, (_, pts) in enumerate(_realizations(params, window, n_realizations, seed)):
-        tree = window.tree(pts)
-        cum = tree.count_neighbors(tree, edges[order])[inverse]
-        counts = cum[len(ups):] - cum[:len(ups)]  # ordered pairs per bin
+        d2 = np.sort(_close_pairs(pts, reach, window)[2])
+        cum = np.searchsorted(d2, edges2, side="right")
+        counts = 2 * (cum[len(ups):] - cum[:len(ups)])  # ordered pairs per bin
         per_real[i] = counts / norm
     density = per_real.mean(axis=0)
     se = per_real.std(axis=0, ddof=1) / math.sqrt(n_realizations)

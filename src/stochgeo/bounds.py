@@ -37,7 +37,6 @@ from enum import Enum
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import hyp2f1
 
 from .analytics import (
     SecondOrderDensity,
@@ -120,7 +119,11 @@ def _outside_disk_integral(kind: BoundKind, r: float, beta_lin, alpha: float):
 
     Ratio kernel: pi r^2 * 2 beta/(alpha-2) * 2F1(1, 1-2/alpha; 2-2/alpha; -beta);
     log kernel, by parts in t = R_x^2/r^2: (alpha/2) * ratio - pi r^2 log(1+beta).
+    scipy is imported here, not with the module, so that sampling and
+    simulation never load it.
     """
+    from scipy.special import hyp2f1
+
     beta = np.asarray(beta_lin, dtype=float)
     delta = 2.0 / alpha
     ratio = (math.pi * r * r * 2.0 * beta / (alpha - 2.0)
@@ -233,8 +236,8 @@ def interference_exponent(kind: BoundKind, r: float, phi: float, beta_linear: fl
     perfbench/probes.py reads them.
     """
     quad = quad or QuadConfig()
-    if beta_linear < 0:
-        raise ParameterError("beta_linear must be >= 0")
+    if not 0 <= beta_linear < math.inf:
+        raise ParameterError("beta_linear must be finite and >= 0")
     near, far = _exponents(kind, r, np.asarray([beta_linear]), ch, params, quad,
                            _pair_density_table(params))
     return ExponentResult(float(near[0]), float(far[0]), 2.0 * params.d, 0.0, 0)

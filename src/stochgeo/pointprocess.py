@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-from scipy.spatial import cKDTree
 
 from .errors import DataError, ParameterError
 
@@ -101,22 +100,6 @@ class Window:
             dx = np.minimum(dx, self.width - dx)
             dy = np.minimum(dy, self.height - dy)
         return np.hypot(dx, dy)
-
-    def min_pair_distance(self, points: np.ndarray) -> float:
-        """Smallest pairwise distance under the window metric (inf if < 2 points)."""
-        if len(points) < 2:
-            return math.inf
-        d, _ = self.tree(points).query(points, k=2)
-        return float(d[:, 1].min())
-
-    def tree(self, points: np.ndarray) -> cKDTree:
-        """k-d tree over `points` under the window metric. On a torus the
-        points are wrapped into [0, width) x [0, height) first; the wrap is
-        the identity there and maps a point on the far edge to 0."""
-        if self.toroidal:
-            boxed = np.remainder(points, (self.width, self.height))
-            return cKDTree(boxed, boxsize=(self.width, self.height))
-        return cKDTree(points)
 
     def interior_bounds(self) -> tuple[float, float, float, float]:
         """(xmin, xmax, ymin, ymax) of the region where test locations are
@@ -292,21 +275,106 @@ def sample_ppp(lambda_p: float, window: Window, seed: int) -> PointSet:
     return _sample(PppSource(lambda_p, window), seed)
 
 
+def _close_pairs(points: np.ndarray, r: float,
+                 window: Window) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every unordered pair of rows of `points` at most r apart under the
+    window metric, once each: (i, j, squared distance).
+
+    A fixed-radius cell list. Cells are at least r wide, so a close pair lies
+    in one cell or in two neighbouring ones; each point is tested against the
+    later points of its own cell and every point of the half stencil (0, +1),
+    (+1, -1), (+1, 0), (+1, +1). The grid has a border of cells around it, so
+    a neighbour is always the cell id plus a constant. On a torus (points in
+    [0, width] x [0, height], r below half the side) the cells tile the
+    window, the border cells take the start and end of the cells they wrap
+    to, an axis with fewer than three cells is one cell, and differences are
+    minimum-image. Otherwise the cells cover the points' bounding box and the
+    border cells are empty. Cells are widened, if need be, to at most 8 per
+    point, so a tiny r costs no more than a table the size of the points.
+    """
+    n = len(points)
+    if n < 2:
+        none = np.empty(0, dtype=np.intp)
+        return none, none, np.empty(0)
+    x, y = points[:, 0], points[:, 1]
+    torus = window.toroidal
+    if torus:
+        x0 = y0 = 0.0
+        span_x, span_y = window.width, window.height
+    else:
+        x0, y0 = x.min(), y.min()
+        span_x, span_y = x.max() - x0, y.max() - y0
+    # 1e-9 wider than r, so a pair exactly r apart stays in neighbouring cells
+    # however its cell indices round
+    side = max(r * (1.0 + 1e-9), math.sqrt(span_x * span_y / (8 * n)),
+               max(span_x, span_y) / (8 * n))
+    nx, ny = int(span_x / side), int(span_y / side)
+    if torus:
+        nx, ny = (k if k >= 3 else 1 for k in (nx, ny))
+    else:
+        nx, ny = max(nx, 1), max(ny, 1)
+    stride = nx + 1
+    cx = ((x - x0) * (nx / span_x if nx > 1 else 0.0)).astype(np.intp)
+    cy = ((y - y0) * (ny / span_y if ny > 1 else 0.0)).astype(np.intp)
+    np.minimum(cx, nx - 1, out=cx)  # a point on the far edge joins the last cell
+    np.minimum(cy, ny - 1, out=cy)
+    cell = (cy + 1) * stride + cx  # row 0, row ny + 1 and column nx are the border
+    order = np.argsort(cell)
+    cell = cell[order]
+    counts = np.bincount(cell, minlength=(ny + 2) * stride)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    if torus:
+        for table in (starts, ends):
+            grid = table.reshape(ny + 2, stride)
+            grid[1:-1, -1] = grid[1:-1, 0]
+            grid[0] = grid[-2]
+            grid[-1] = grid[1]
+
+    # one candidate range [lo, lo + length) of sorted positions per stencil
+    # cell and point; the own cell's starts after the point
+    steps = [0] + [dy * stride + dx for dx, dy in ((0, 1), (1, -1), (1, 0), (1, 1))
+                   if (nx > 1 or dx == 0) and (ny > 1 or dy == 0)]
+    nbr = cell + np.array(steps)[:, None]
+    lo = starts[nbr]
+    lo[0] = np.arange(1, n + 1)
+    length = ends[nbr]
+    length -= lo
+    ranges = np.nonzero(length.ravel() > 0)[0]
+    length = length.ravel()[ranges]
+    # the k-th candidate overall is position lo + (k - candidates before its range)
+    before = np.cumsum(length) - length
+    i = np.repeat(ranges % n, length)
+    j = np.repeat(lo.ravel()[ranges] - before, length)
+    j += np.arange(len(j))
+
+    xs, ys = x[order], y[order]
+    dx = xs[i]
+    dx -= xs[j]
+    np.abs(dx, out=dx)
+    dy = ys[i]
+    dy -= ys[j]
+    np.abs(dy, out=dy)
+    if torus:
+        np.minimum(dx, window.width - dx, out=dx)
+        np.minimum(dy, window.height - dy, out=dy)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    close = np.nonzero(dx <= r * r)[0]
+    return order[i[close]], order[j[close]], dx[close]
+
+
 def _min_mark_thinning(points: np.ndarray, marks: np.ndarray, d: float,
-                       tree: cKDTree) -> np.ndarray:
+                       window: Window) -> np.ndarray:
     """Keep-mask for Matern type II: a point survives iff its mark is the
-    strict minimum among all parent points within distance d (ties broken by
-    index; lower index wins)."""
+    strict minimum among all parent points within distance d under the window
+    metric (ties broken by index; lower index wins)."""
     keep = np.ones(len(points), dtype=bool)
-    if d <= 0 or len(points) < 2:
-        return keep
-    pairs = tree.query_pairs(d, output_type="ndarray")
-    if len(pairs):
-        first, second = pairs[:, 0], pairs[:, 1]
-        # query_pairs yields i < j, so on equal marks the second index loses
-        second_loses = marks[second] >= marks[first]
-        keep[second[second_loses]] = False
-        keep[first[~second_loses]] = False
+    if d > 0:
+        i, j, _ = _close_pairs(points, d, window)
+        first, second = np.minimum(i, j), np.maximum(i, j)
+        keep[np.where(marks[second] >= marks[first], second, first)] = False
     return keep
 
 
@@ -326,7 +394,7 @@ def mhc_realization(rng: np.random.Generator, params: MhcParams,
     parents = ppp_points(rng, params.lambda_p, -ext, window.width + ext,
                          -ext, window.height + ext)
     marks = rng.random(len(parents))
-    return parents, marks, _min_mark_thinning(parents, marks, d, window.tree(parents))
+    return parents, marks, _min_mark_thinning(parents, marks, d, window)
 
 
 def sample_mhc(params: MhcParams, window: Window, seed: int) -> PointSet:

@@ -3,7 +3,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.spatial import cKDTree
 
 from stochgeo import (
     MhcParams,
@@ -22,6 +25,7 @@ from stochgeo import (
     second_order_density,
     void_probability_empirical,
 )
+from stochgeo.analytics import _realizations
 
 # scalar reference values, evaluated at 30 decimal digits
 P_RETAIN_1_05 = 0.6927210905109832        # lambda_p=1, d=0.5
@@ -220,6 +224,45 @@ def test_pair_density_rejects_guard_window():
     with pytest.raises(ParameterError, match="toroidal"):
         pair_density_empirical(MhcParams(1.0, 0.5), [0.6], 2, seed=1,
                                window=Window(20.0, 20.0, edge="guard"))
+
+
+@pytest.mark.parametrize("side", [1.9, 2.0, 2.04])
+def test_pair_density_rejects_torus_narrower_than_twice_the_largest_edge(side):
+    # largest edge 0.9 + 0.12 = 1.02 km: a 2.04 km torus is just too narrow
+    with pytest.raises(ParameterError, match="half the window"):
+        pair_density_empirical(MhcParams(1.0, 0.2), [0.5, 0.9], 2, seed=1,
+                               window=Window(side, 10.0), halfwidth=0.12)
+
+
+def count_neighbors_density(params, ups, n_realizations, seed, window, halfwidth):
+    """pair_density_empirical's estimate from scipy's count_neighbors, which
+    counts ordered pairs (self pairs included) up to each edge."""
+    edges = np.concatenate([ups - halfwidth, ups + halfwidth])
+    norm = window.area * 2.0 * math.pi * ups * 2.0 * halfwidth
+    box = (window.width, window.height)
+    per_real = []
+    for _, pts in _realizations(params, window, n_realizations, seed):
+        tree = cKDTree(np.remainder(pts, box), boxsize=box)
+        cum = np.array([tree.count_neighbors(tree, e) for e in edges])
+        per_real.append((cum[len(ups):] - cum[:len(ups)]) / norm)
+    per_real = np.array(per_real)
+    return per_real.mean(axis=0), per_real.std(axis=0, ddof=1) / math.sqrt(n_realizations)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lambda_p=st.floats(0.5, 4.0), d=st.floats(0.0, 0.6), side=st.floats(3.0, 9.0),
+       ups=st.lists(st.floats(0.01, 1.2), min_size=1, max_size=6, unique=True),
+       halfwidth=st.sampled_from([0.01, 0.05, 0.2]), seed=st.integers(0, 2 ** 32 - 1))
+@example(lambda_p=2.0, d=0.5, side=4.0, ups=[0.05, 0.5, 1.0], halfwidth=0.2, seed=7)
+def test_pair_counts_match_count_neighbors(lambda_p, d, side, ups, halfwidth, seed):
+    # edges below 0 (u < h) included: count_neighbors squares them, as the bins do
+    params = MhcParams(lambda_p, d)
+    window = Window(side, side * 1.25)
+    ups = np.sort(ups)
+    est = pair_density_empirical(params, ups, 3, seed, window, halfwidth)
+    density, std_err = count_neighbors_density(params, ups, 3, seed, window, halfwidth)
+    assert np.array_equal(est.density, density)
+    assert np.array_equal(est.std_err, std_err)
 
 
 def test_void_probability_warns_when_underpowered():

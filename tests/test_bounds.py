@@ -95,6 +95,13 @@ def test_exponent_requires_positive_r():
                               MhcParams(3.0, 0.5))
 
 
+@pytest.mark.parametrize("kind", list(BoundKind))
+@pytest.mark.parametrize("beta_linear", [math.nan, math.inf, -math.inf, -1.0])
+def test_exponent_rejects_non_finite_or_negative_threshold(kind, beta_linear):
+    with pytest.raises(ParameterError, match="finite"):
+        interference_exponent(kind, 0.3, 0.0, beta_linear, CH4, MhcParams(3.0, 0.5))
+
+
 def test_exponent_ppp_limit_matches_radial_quadrature():
     # d -> 0: the shell term vanishes and the far term reduces to the plain
     # density integral over {R >= r}, evaluated independently in user-centred

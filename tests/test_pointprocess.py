@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from stochgeo import (
     DataError,
@@ -20,6 +26,7 @@ from stochgeo import (
 from stochgeo.pointprocess import (
     MAX_EXPECTED_POINTS,
     MAX_TRIALS,
+    _close_pairs,
     _grid_shape,
     _min_mark_thinning,
     _rng_for,
@@ -29,6 +36,40 @@ from stochgeo.pointprocess import (
     ppp_points,
 )
 from stochgeo import pointprocess
+
+
+def kd_tree(window, points):
+    """scipy's k-d tree under the window metric; on a torus the points are
+    wrapped into [0, width) x [0, height) first, so a point on the far edge is
+    the point 0."""
+    if window.toroidal:
+        box = (window.width, window.height)
+        return cKDTree(np.remainder(points, box), boxsize=box)
+    return cKDTree(points)
+
+
+def min_pair_distance(window, points):
+    """Smallest pairwise distance under the window metric (inf below 2 points)."""
+    if len(points) < 2:
+        return math.inf
+    tree = kd_tree(window, points)
+    d, _ = tree.query(tree.data, k=2)
+    return float(d[:, 1].min())
+
+
+def kd_tree_thinning(points, marks, d, window):
+    """Min-mark thinning over the pairs of scipy's query_pairs (i < j), the
+    reference for the cell list: on equal marks the higher index loses."""
+    keep = np.ones(len(points), dtype=bool)
+    if d <= 0 or len(points) < 2:
+        return keep
+    pairs = kd_tree(window, points).query_pairs(d, output_type="ndarray")
+    if len(pairs):
+        first, second = pairs[:, 0], pairs[:, 1]
+        second_loses = marks[second] >= marks[first]
+        keep[second[second_loses]] = False
+        keep[first[~second_loses]] = False
+    return keep
 
 
 def test_window_validation():
@@ -112,7 +153,7 @@ def test_mhc_hardcore_property(edge):
     win = Window(12, 12, edge=edge, margin=1.0 if edge == "guard" else 0.0)
     for seed in range(5):
         ps = sample_mhc(MhcParams(2.0, 0.5), win, seed)
-        assert win.min_pair_distance(ps.points) >= 0.5
+        assert min_pair_distance(win, ps.points) >= 0.5
         assert win.contains(ps.points).all()
 
 
@@ -126,7 +167,7 @@ def test_mhc_retained_parents_are_d_apart(seed, lambda_p, d, edge):
     # every retained parent, guard extension included, under the window metric
     win = Window(5.0, 5.0, edge=edge)
     parents, _, keep = mhc_realization(_rng_for(seed), MhcParams(lambda_p, d), win)
-    assert win.min_pair_distance(parents[keep]) >= d
+    assert min_pair_distance(win, parents[keep]) >= d
 
 
 @settings(max_examples=25, deadline=None)
@@ -137,8 +178,7 @@ def test_mhc_keep_set_invariant_under_joint_permutation(seed, lambda_p, d, edge)
     parents, marks, keep = mhc_realization(rng, MhcParams(lambda_p, d), win)
     perm = rng.permutation(len(parents))
     shuffled = parents[perm]
-    assert np.array_equal(_min_mark_thinning(shuffled, marks[perm], d, win.tree(shuffled)),
-                          keep[perm])
+    assert np.array_equal(_min_mark_thinning(shuffled, marks[perm], d, win), keep[perm])
 
 
 def test_mhc_parent_on_the_far_edge_wraps(monkeypatch):
@@ -148,6 +188,112 @@ def test_mhc_parent_on_the_far_edge_wraps(monkeypatch):
     _, marks, keep = mhc_realization(_rng_for(0), MhcParams(1.0, 0.5), Window(3.0, 3.0))
     assert keep[2] and keep[:2].sum() == 1
     assert keep[int(np.argmin(marks[:2]))]
+
+
+@st.composite
+def thinning_cases(draw):
+    """(points, marks, d, window) for the cell list against scipy's k-d tree.
+
+    Sides and d are quarter-km multiples on a lattice, so pairs exactly d apart
+    occur, or free floats; d is tiny, below a third of the shorter side (three
+    or more cells per axis), or just under half of it (two cells per axis,
+    where the neighbour cells on a torus repeat). Some points sit exactly on
+    the far edge, and marks may tie.
+    """
+    edge = draw(st.sampled_from(["toroidal", "guard"]))
+    lattice = draw(st.booleans())
+    if lattice:
+        width, height = (draw(st.integers(4, 40)) / 4 for _ in range(2))
+        short = min(width, height)
+        d = draw(st.integers(1, math.ceil(2 * short) - 1)) / 4
+    else:
+        width, height = (draw(st.floats(0.5, 12.0)) for _ in range(2))
+        short = min(width, height)
+        d = short * draw(st.sampled_from([1e-9, 0.02, 0.1, 0.25, 0.33, 0.3334, 0.49,
+                                          0.4999999]) | st.floats(1e-3, 0.4999))
+    window = Window(width, height, edge=edge)
+    ext = 0.0 if window.toroidal else d
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(0, 120))
+    lo, hi = np.array([-ext, -ext]), np.array([width + ext, height + ext])
+    if lattice:
+        points = rng.integers(np.ceil(4 * lo), np.floor(4 * hi) + 1, (n, 2)) / 4
+    else:
+        points = lo + rng.random((n, 2)) * (hi - lo)
+    for axis in (0, 1):
+        on_edge = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+        points[on_edge, axis] = hi[axis]
+    if draw(st.booleans()):
+        marks = rng.integers(0, 3, n) / 3  # frequent ties
+    else:
+        marks = rng.random(n)
+    return points, marks, d, window
+
+
+@settings(max_examples=300, deadline=None)
+@given(thinning_cases())
+@example((np.array([[3.0, 1.0], [0.5, 1.0], [1.5, 2.0], [2.0, 1.0]]),
+          np.array([0.5, 0.5, 0.5, 0.5]), 1.0, Window(3.0, 3.0)))
+def test_cell_list_matches_kd_tree(case):
+    points, marks, d, window = case
+    i, j, d2 = _close_pairs(points, d, window)
+    got = {(min(a, b), max(a, b)) for a, b in zip(i.tolist(), j.tolist())}
+    assert len(got) == len(i)  # every pair once
+    want = kd_tree(window, points).query_pairs(d) if len(points) else set()
+    assert got == want
+    if len(i):
+        ref = window.distances(points[i], points[j])
+        assert np.allclose(np.sqrt(d2), ref, rtol=1e-12, atol=1e-12)
+    keep = _min_mark_thinning(points, marks, d, window)
+    assert np.array_equal(keep, kd_tree_thinning(points, marks, d, window))
+
+
+def test_cell_list_on_a_line_with_a_tiny_radius():
+    # collinear points on a guard window: a zero-area bounding box
+    points = np.array([[0.0, 2.0], [0.0, 2.0], [5.0, 2.0], [1e4, 2.0]])
+    i, j, d2 = _close_pairs(points, 1e-12, Window(10.0, 10.0, edge="guard"))
+    assert sorted(zip(i.tolist(), j.tolist())) in ([(0, 1)], [(1, 0)])
+    assert d2.tolist() == [0.0]
+
+
+def test_tiny_hardcore_distance_keeps_the_cell_table_small():
+    # cells 1e-9 km wide would number 1e20 on this torus; the grid is capped
+    # by the point count instead
+    tracemalloc.start()
+    try:
+        parents, _, keep = mhc_realization(_rng_for(4), MhcParams(1.0, 1e-9),
+                                           Window(10.0, 10.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(parents) > 50 and keep.all()
+    assert peak < 2 ** 20
+
+
+SAMPLING_WITHOUT_SCIPY = """
+import sys
+import stochgeo as sg
+ch = sg.ChannelParams(alpha=4.0, sigma2=0.1)
+params = sg.MhcParams(2.0, 0.4)
+win = sg.default_torus(params)
+sg.simulate_coverage(sg.PppSource(1.0, win), ch, [0.0, 10.0], 20, 1, threads=1)
+sg.simulate_coverage(sg.MhcSource(params, win), ch, [0.0, 10.0], 20, 1, threads=1)
+sg.empty_space_ks(params, 20, 1)
+sg.pair_density_empirical(params, [0.5, 0.6], 4, 1)
+sg.pgfl_bound_check(params, ch, 1.0, 0.3, 100, 1)
+sg.void_probability_empirical(params, 0.5, 30, 1)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_sampling_and_validators_never_load_scipy():
+    src = Path(pointprocess.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", SAMPLING_WITHOUT_SCIPY], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_mhc_retained_subset_of_parents():
