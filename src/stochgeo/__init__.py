@@ -2,7 +2,6 @@
 quadrature lower bounds on Matern hardcore coverage."""
 
 from .analytics import (
-    SecondOrderDensity,
     default_torus,
     disc_union_area,
     empty_space_cdf,
@@ -58,7 +57,6 @@ __all__ = [
     "PointSet",
     "PppSource",
     "QuadConfig",
-    "SecondOrderDensity",
     "Window",
     "beta_db_to_linear",
     "coverage_bound",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -73,49 +72,35 @@ def disc_union_area(upsilon, d: float):
     return out if u.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class SecondOrderDensity:
-    """Second-order product density of the Matern hardcore process.
-
-    Callable on separations `upsilon`: 0 below d, lambda_m^2 at and beyond 2d,
-    and the pair-retention expression in between. Continuous at 2d.
-    """
-
-    params: MhcParams
-
-    @property
-    def lambda_m(self) -> float:
-        return mhc_density(self.params)
-
-    def __call__(self, upsilon):
-        u = np.asarray(upsilon, dtype=float)
-        scalar = u.ndim == 0
-        u = np.atleast_1d(u)
-        d = self.params.d
-        lam_m = self.lambda_m
-        out = np.full(u.shape, lam_m * lam_m)
-        if d > 0:
-            out[u < d] = 0.0
-            mid = (u >= d) & (u < 2 * d)
-            t = self.params.lambda_p * math.pi * d * d
-            if mid.any() and t < RHO2_SERIES_T:
-                # rho2 / lambda_p^2 = 2 sum_{k>=2} (-t)^(k-2) (1 + v + ... + v^(k-2)) / k!
-                # with v = V / (pi d^2) in [1.6, 2]: no d^2 and no cancellation
-                v = disc_union_area(u[mid] / d, 1.0) / math.pi
-                out[mid] = self.params.lambda_p ** 2 * sum(
-                    2.0 * (-t) ** (k - 2) / math.factorial(k) * (v ** (k - 1) - 1.0) / (v - 1.0)
-                    for k in range(2, 9))
-            elif mid.any():
-                V = disc_union_area(u[mid], d)
-                pidd = math.pi * d * d
-                num = 2 * V * (-math.expm1(-t)) - 2 * pidd * (-np.expm1(-self.params.lambda_p * V))
-                out[mid] = num / (pidd * V * (V - pidd))
-        return float(out[0]) if scalar else out
-
-
 def second_order_density(upsilon, params: MhcParams):
-    """Pair density rho2(upsilon) for ordered point pairs at that separation."""
-    return SecondOrderDensity(params)(upsilon)
+    """Second-order product density rho2(upsilon) of the Matern hardcore
+    process, for ordered point pairs at separation `upsilon`: 0 below d,
+    lambda_m^2 at and beyond 2d, and the pair-retention expression in between.
+    Continuous at 2d. Vectorized over `upsilon`.
+    """
+    u = np.asarray(upsilon, dtype=float)
+    scalar = u.ndim == 0
+    u = np.atleast_1d(u)
+    d = params.d
+    lam_m = mhc_density(params)
+    out = np.full(u.shape, lam_m * lam_m)
+    if d > 0:
+        out[u < d] = 0.0
+        mid = (u >= d) & (u < 2 * d)
+        t = params.lambda_p * math.pi * d * d
+        if mid.any() and t < RHO2_SERIES_T:
+            # rho2 / lambda_p^2 = 2 sum_{k>=2} (-t)^(k-2) (1 + v + ... + v^(k-2)) / k!
+            # with v = V / (pi d^2) in [1.6, 2]: no d^2 and no cancellation
+            v = disc_union_area(u[mid] / d, 1.0) / math.pi
+            out[mid] = params.lambda_p ** 2 * sum(
+                2.0 * (-t) ** (k - 2) / math.factorial(k) * (v ** (k - 1) - 1.0) / (v - 1.0)
+                for k in range(2, 9))
+        elif mid.any():
+            V = disc_union_area(u[mid], d)
+            pidd = math.pi * d * d
+            num = 2 * V * (-math.expm1(-t)) - 2 * pidd * (-np.expm1(-params.lambda_p * V))
+            out[mid] = num / (pidd * V * (V - pidd))
+    return float(out[0]) if scalar else out
 
 
 def empty_space_pdf(r, lambda_m: float):
@@ -242,6 +227,8 @@ def pair_density_empirical(params: MhcParams, upsilons, n_realizations: int,
         raise ParameterError("pair density estimation requires a toroidal window")
     if halfwidth is None:
         halfwidth = 0.02 * params.d if params.d > 0 else 0.02 * float(ups.min())
+    if not (math.isfinite(halfwidth) and halfwidth > 0):
+        raise ParameterError("halfwidth must be finite and > 0")
     edges = np.concatenate([ups - halfwidth, ups + halfwidth])
     reach = float(np.abs(edges).max())
     if reach >= min(window.width, window.height) / 2:

@@ -32,18 +32,18 @@ curves by less than 1e-8 relative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .analytics import (
-    SecondOrderDensity,
     _realizations,
     default_torus,
     empty_space_pdf,
     mhc_density,
+    second_order_density,
 )
 from .coverage import ChannelParams, CoverageCurve, beta_db_to_linear, threshold_grid
 from .errors import DataError, ParameterError
@@ -80,20 +80,6 @@ class QuadConfig:
                 raise ParameterError(f"{name} must be >= 16")
         if self.r_max is not None and not (math.isfinite(self.r_max) and self.r_max > 0):
             raise ParameterError("r_max must be finite and > 0")
-
-    def scaled(self, factor: float) -> "QuadConfig":
-        """Copy with all grid counts multiplied by `factor` (finite, > 0)."""
-        if not (math.isfinite(factor) and factor > 0):
-            raise ParameterError("quadrature scale factor must be finite and > 0")
-        return replace(self, n_r=int(round(self.n_r * factor)),
-                       n_theta=int(round(self.n_theta * factor)),
-                       n_upsilon=int(round(self.n_upsilon * factor)))
-
-
-def _pow_alpha_half(base: np.ndarray, alpha: float) -> np.ndarray:
-    if alpha == 4.0:
-        return base * base
-    return base ** (alpha / 2.0)
 
 
 class ExponentResult(NamedTuple):
@@ -140,7 +126,7 @@ def _pair_density_table(params: MhcParams) -> np.ndarray:
     ups = np.sqrt(np.linspace(d * d, 4.0 * d * d, RHO2_TABLE_INTERVALS + 1))
     # the band edges are d and 2d; clipping keeps rounding off the zero
     # branch of rho2 below d
-    return SecondOrderDensity(params)(np.clip(ups, d, 2.0 * d))
+    return second_order_density(np.clip(ups, d, 2.0 * d), params)
 
 
 def _band_pair_density(params: MhcParams, ups2: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -192,7 +178,7 @@ def _exponents(kind: BoundKind, r: float, beta_lin: np.ndarray, ch: ChannelParam
     d = params.d
     r0 = max(r, d - r)
     R = np.geomspace(r0, r + 2.0 * d, quad.n_upsilon)
-    geom = _pow_alpha_half((r / R) ** 2, ch.alpha)
+    geom = ((r / R) ** 2) ** (ch.alpha / 2.0)
 
     def psi(s):
         return np.arccos(np.clip((R * R + r * r - s * s) / (2.0 * R * r), -1.0, 1.0))
@@ -309,7 +295,6 @@ def pgfl_bound_check(params: MhcParams, ch: ChannelParams, beta_linear: float,
 
     prods = np.empty(n_realizations)
     sums = np.empty(n_realizations)
-    alpha = ch.alpha
     for i, (rng, pts) in enumerate(_realizations(params, window, n_realizations, seed)):
         if len(pts) == 0:
             raise DataError("empty realization; enlarge the window or density")
@@ -319,8 +304,8 @@ def pgfl_bound_check(params: MhcParams, ch: ChannelParams, beta_linear: float,
                             (window.width, window.height))
         dist = window.distances(user, pts)
         dist = np.delete(dist, idx)
-        x = beta_linear * (r / np.maximum(dist, 1e-9)) ** alpha
-        kernel = x / (1.0 + x)
+        kernel = _kernel_from_geometry(BoundKind.PROPOSITION1,
+                                       (r / np.maximum(dist, 1e-9)) ** ch.alpha, beta_linear)
         prods[i] = np.prod(1.0 - kernel)
         sums[i] = kernel.sum()
 

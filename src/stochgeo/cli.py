@@ -136,7 +136,6 @@ OPTIONS = {opt.flag.split()[-1].lstrip("-").replace("-", "_"): opt for opt in [
     Option("--with-sim", "with_sim", int, 0, "also simulate the process and report the gap",
            dict(action="store_true")),
     Option("--threads", None, int, 0, "worker cap (0 = auto)"),
-    Option("--quad-scale", None, float, 1.0, "multiply all quadrature grid counts"),
     Option("--target-label", help="curve label inside the target CSV"),
     Option("--config", help="key=value file (or a previously emitted CSV) supplying "
            "defaults; flags win"),
@@ -333,8 +332,6 @@ def _cmd_bound(args) -> int:
     beta_db = parse_grid_spec(args.beta_db)
     quad = bounds.QuadConfig(n_r=args.n_r, n_theta=args.n_theta, n_upsilon=args.n_upsilon,
                              r_max=args.r_max)
-    if args.quad_scale != 1.0:
-        quad = quad.scaled(args.quad_scale)
     kinds = list(bounds.BoundKind) if args.kind == "both" else [bounds.BoundKind(args.kind)]
 
     seed = trials = None
@@ -457,7 +454,7 @@ _COMMANDS = {
     "simulate": ("Monte Carlo coverage curve(s)", _cmd_simulate, "source lambda_p d n file "
                  "beta_db trials threads window edge margin alpha sigma2 p_t config out seed", {}),
     "bound": ("quadrature lower bounds on MHC coverage", _cmd_bound, "kind lambda_p d beta_db "
-              "quad_scale n_r n_theta n_upsilon r_max with_sim trials threads window alpha "
+              "n_r n_theta n_upsilon r_max with_sim trials threads window alpha "
               "sigma2 p_t config out seed", {}),
     "validate": ("empirical checks of the analytics", _cmd_validate,
                  "check lambda_p d r alpha beta_db realizations ks_tol seed",

@@ -77,7 +77,7 @@ class CoverageCurve:
         p = np.asarray(self.p_c, dtype=float)
         if beta.shape != p.shape:
             raise ParameterError("beta_db and p_c must be equal-length 1-D arrays")
-        if np.any(p < 0) or np.any(p > 1):
+        if not np.all((p >= 0) & (p <= 1)):  # NaN fails both
             raise ParameterError("coverage probabilities must lie in [0, 1]")
         se = self.std_err
         if se is not None:

@@ -156,11 +156,6 @@ def _check_seed(seed) -> int:
     return int(seed)
 
 
-def _rng_for(seed: int, stream: int = 0) -> np.random.Generator:
-    # spawn_key makes substreams independent of each other and of the root
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
-
-
 def _check_count(n: int, minimum: int, name: str) -> int:
     """A trial or realization count, checked to lie in [minimum, MAX_TRIALS]."""
     if n < minimum:
@@ -187,8 +182,9 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _stream_states(seed: int, lo: int, hi: int):
     """Yield, for each stream i in [lo, hi) of `seed`, the four uint64 words
-    PCG64 seeds from: SeedSequence(entropy=seed, spawn_key=(i,))
-    .generate_state(4, np.uint64), the state _rng_for(seed, i) starts from.
+    PCG64 seeds from: numpy's SeedSequence(entropy=seed, spawn_key=(i,))
+    .generate_state(4, np.uint64). The spawn key makes the streams independent
+    of each other and of the root.
 
     SeedSequence's hash is fixed 32-bit arithmetic, so it runs here on uint32
     arrays over up to STREAM_BLOCK streams at once. The entropy is the seed's
@@ -244,7 +240,8 @@ class _StreamSeed(ISeedSequence):
 
 def _rng_from_state(words: np.ndarray) -> np.random.Generator:
     """The generator of a stream whose words _stream_states derived: the same
-    stream, draw for draw, as _rng_for."""
+    stream, draw for draw, as numpy's default_rng(SeedSequence(entropy=seed,
+    spawn_key=(i,)))."""
     return np.random.Generator(np.random.PCG64(_StreamSeed(words)))
 
 
@@ -266,8 +263,8 @@ def ppp_points(rng: np.random.Generator, lambda_p: float, xmin: float, xmax: flo
 def _sample(source, seed: int) -> PointSet:
     """One seeded realization of a random source, as a PointSet."""
     seed = _check_seed(seed)
-    return PointSet(source.points_for_trial(_rng_for(seed)), source.window, source.label,
-                    seed)
+    rng = _rng_from_state(next(_stream_states(seed, 0, 1)))
+    return PointSet(source.points_for_trial(rng), source.window, source.label, seed)
 
 
 def sample_ppp(lambda_p: float, window: Window, seed: int) -> PointSet:

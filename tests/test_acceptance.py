@@ -13,7 +13,9 @@ import pytest
 
 import stochgeo as sg
 from stochgeo.cli import main as cli_main
-from stochgeo.pointprocess import _rng_for, mhc_realization
+from stochgeo.pointprocess import mhc_realization
+
+from seed_streams import seed_sequence_rng
 
 
 def report(idx, name, ok, detail):
@@ -38,7 +40,7 @@ def test_criterion_01_hardcore_exactness():
     worst = math.inf
     offenders = 0
     for seed in range(1000):
-        parents, _, keep = mhc_realization(_rng_for(seed), params, win)
+        parents, _, keep = mhc_realization(seed_sequence_rng(seed), params, win)
         pts = parents[keep]
         tree = cKDTree(pts, boxsize=(30.0, 30.0))
         pairs = tree.query_pairs(params.d * (1.0 - 1e-12))
@@ -58,7 +60,7 @@ def test_criterion_02_density_law():
         params = sg.MhcParams(lam_p, d)
         side = 50.0 * d
         win = sg.Window(side, side)
-        dens = np.array([mhc_realization(_rng_for(seed), params, win)[2].sum()
+        dens = np.array([mhc_realization(seed_sequence_rng(seed), params, win)[2].sum()
                          / win.area for seed in range(200)])
         se = dens.std(ddof=1) / math.sqrt(len(dens))
         lam_m = sg.mhc_density(params)
@@ -181,7 +183,7 @@ def test_criterion_09_quadrature_stability():
     params = sg.MhcParams(3.0, 0.5)
     beta_db = [10.0, 15.0, 20.0]
     base = sg.QuadConfig()
-    fine = base.scaled(2)
+    fine = sg.QuadConfig(n_r=256, n_theta=512, n_upsilon=512)  # every grid doubled
     worst = 0.0
     for kind in (sg.BoundKind.THEOREM1, sg.BoundKind.PROPOSITION1):
         a = sg.coverage_bound(kind, CH, params, beta_db, base)

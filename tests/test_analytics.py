@@ -11,7 +11,6 @@ from scipy.spatial import cKDTree
 from stochgeo import (
     MhcParams,
     ParameterError,
-    SecondOrderDensity,
     Window,
     default_torus,
     disc_union_area,
@@ -157,7 +156,7 @@ def test_rho2_matches_high_precision_closed_form(lambda_p, d):
     params = MhcParams(lambda_p, d)
     for ratio in (1.01, 1.5, 1.99):
         u = ratio * d
-        assert SecondOrderDensity(params)(u) == pytest.approx(
+        assert second_order_density(u, params) == pytest.approx(
             rho2_reference(lambda_p, d, u), rel=1e-10, abs=0.0)
 
 
@@ -165,7 +164,7 @@ def test_rho2_matches_pair_counting_oracle():
     # kernel pair-density estimator, 3 sigma gate at a mid-shell separation
     params = MhcParams(1.0, 0.5)
     est = pair_density_empirical(params, [0.6, 0.75, 0.9], 300, seed=5150)
-    ref = SecondOrderDensity(params)(est.upsilon)
+    ref = second_order_density(est.upsilon, params)
     z = np.abs(est.density - ref) / est.std_err
     assert np.all(z < 3.0), f"z-scores {z}"
 
@@ -232,6 +231,14 @@ def test_pair_density_rejects_torus_narrower_than_twice_the_largest_edge(side):
     with pytest.raises(ParameterError, match="half the window"):
         pair_density_empirical(MhcParams(1.0, 0.2), [0.5, 0.9], 2, seed=1,
                                window=Window(side, 10.0), halfwidth=0.12)
+
+
+@pytest.mark.parametrize("halfwidth", [0.0, -0.01, math.nan, math.inf])
+def test_pair_density_rejects_bad_halfwidth(halfwidth):
+    # 0 divides 0 pairs by 0 area; -0.01 would mirror +0.01
+    with pytest.raises(ParameterError, match="halfwidth"):
+        pair_density_empirical(MhcParams(1.0, 0.5), [0.6, 0.8], 20, seed=1,
+                               halfwidth=halfwidth)
 
 
 def count_neighbors_density(params, ups, n_realizations, seed, window, halfwidth):

@@ -17,7 +17,7 @@ from stochgeo import (
     pgfl_bound_check,
 )
 from stochgeo import bounds
-from stochgeo.analytics import SecondOrderDensity
+from stochgeo.analytics import second_order_density
 from stochgeo.bounds import (
     _band_pair_density,
     _exponents,
@@ -25,7 +25,9 @@ from stochgeo.bounds import (
     _outside_disk_integral,
     _pair_density_table,
 )
-from stochgeo.pointprocess import _rng_for, mhc_realization
+from stochgeo.pointprocess import mhc_realization
+
+from seed_streams import seed_sequence_rng
 
 CH4 = ChannelParams(alpha=4.0, sigma2=0.1)
 
@@ -47,13 +49,6 @@ def test_quadconfig_validation_and_scaling():
     for r_max in (0.0, math.inf, math.nan):
         with pytest.raises(ParameterError):
             QuadConfig(r_max=r_max)
-    q = QuadConfig(n_r=32, n_theta=64, n_upsilon=64)
-    q2 = q.scaled(2)
-    assert (q2.n_r, q2.n_theta, q2.n_upsilon) == (64, 128, 128)
-    assert q2.r_max == q.r_max
-    for factor in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ParameterError):
-            q.scaled(factor)
 
 
 def test_kernel_reference_values():
@@ -134,7 +129,7 @@ def test_exponent_matches_hardcore_palm_oracle():
     n_real = 250
     vals = np.empty(n_real)
     for i in range(n_real):
-        rng = _rng_for(12345, stream=i)
+        rng = seed_sequence_rng(12345, stream=i)
         parents, _, keep = mhc_realization(rng, params, win)
         pts = parents[keep]
         angles = rng.uniform(0, 2 * math.pi, len(pts))
@@ -311,7 +306,7 @@ def test_pair_density_table_matches_closed_form(lambda_p, d):
     params = MhcParams(lambda_p, d)
     ups = np.random.default_rng(5).uniform(d, 2.0 * d, 100_000)
     table = _band_pair_density(params, ups * ups, _pair_density_table(params))
-    exact = SecondOrderDensity(params)(ups)
+    exact = second_order_density(ups, params)
     assert np.max(np.abs(table - exact)) <= 1e-6 * mhc_density(params) ** 2
 
 

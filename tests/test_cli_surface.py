@@ -70,7 +70,6 @@ SURFACE = {
         (("--lambda-p",), "lambda_p", "float", None, None, None, False),
         (("--d",), "d", "float", None, None, None, False),
         (("--beta-db",), "beta_db", None, None, None, None, False),
-        (("--quad-scale",), "quad_scale", "float", 1.0, None, None, False),
         (("--n-r",), "n_r", "int", None, None, None, False),
         (("--n-theta",), "n_theta", "int", None, None, None, False),
         (("--n-upsilon",), "n_upsilon", "int", None, None, None, False),

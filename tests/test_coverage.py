@@ -26,7 +26,9 @@ from stochgeo import (
 )
 from stochgeo import coverage
 from stochgeo.coverage import _count_chunk, _eval_trial_sinr
-from stochgeo.pointprocess import MAX_TRIALS, R_MIN_KM, _rng_for
+from stochgeo.pointprocess import MAX_TRIALS, R_MIN_KM
+
+from seed_streams import seed_sequence_rng
 
 
 def quiet_simulate(*args, **kwargs):
@@ -51,6 +53,8 @@ def test_curve_validation():
         CoverageCurve(np.array([0.0, 0.0]), np.array([0.5, 0.5]), None, "x")
     with pytest.raises(ParameterError):
         CoverageCurve(np.array([0.0, 1.0]), np.array([0.5, 1.5]), None, "x")
+    with pytest.raises(ParameterError, match=r"in \[0, 1\]"):  # NaN fails p < 0 and p > 1
+        CoverageCurve(np.array([0.0, 1.0]), np.array([0.5, np.nan]), None, "x")
     with pytest.raises(ParameterError):
         CoverageCurve(np.array([0.0, 1.0]), np.array([0.5]), None, "x")
 
@@ -234,12 +238,12 @@ def test_counts_independent_of_chunks_and_blocks(key, cuts, block):
 
 
 def reference_counts(source, ch, beta_lin, seed, lo, hi):
-    """_count_chunk's contract, one trial at a time on _rng_for streams."""
+    """_count_chunk's contract, one trial at a time on numpy's SeedSequence streams."""
     xmin, xmax, ymin, ymax = source.window.interior_bounds()
     counts = np.zeros(len(beta_lin), dtype=np.int64)
     clamped = empty = 0
     for trial in range(lo, hi):
-        rng = _rng_for(seed, trial)
+        rng = seed_sequence_rng(seed, trial)
         stations = source.points_for_trial(rng)
         if len(stations) == 0:
             empty += 1
@@ -335,7 +339,7 @@ def test_empty_realizations_count_as_outage():
     source = PppSource(0.05, Window(4, 4))
     ch = ChannelParams(alpha=4.0, sigma2=0.1)
     n, seed = 50, 1
-    empty = sum(len(source.points_for_trial(_rng_for(seed, t))) == 0 for t in range(n))
+    empty = sum(len(source.points_for_trial(seed_sequence_rng(seed, t))) == 0 for t in range(n))
     assert 0 < empty < n
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -252,6 +252,17 @@ def test_cli_huge_expected_point_count_is_a_usage_error(argv, capsys):
     assert "cap" in err
 
 
+def test_cli_fit_rejects_nan_coverage_target(tmp_path, capsys):
+    # nan fails p >= 0 and p <= 1, so no fit ends in mse=nan
+    target = tmp_path / "nan.csv"
+    target.write_text(GOLDEN_CURVE.read_text().replace("5.0,0.425,", "5.0,nan,"))
+    code = run(["fit", "--target", str(target), "--lambda-p-grid", "2", "--d-grid", "0.4",
+                "--trials", "20", "--seed", "3", "--threads", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "[0, 1]" in err
+
+
 def test_cli_fit_targets_comma_label(tmp_path, capsys):
     sim = tmp_path / "sim.csv"
     assert run(["simulate", "--source", "mhc:lambda_p=2,d=0.4,window=12x12",
@@ -365,32 +376,15 @@ def test_cli_underflowing_retained_density_is_a_usage_error(argv, capsys):
 
 @pytest.mark.parametrize("factor", ["0", "-1", "nan", "inf"])
 def test_cli_bound_bad_quad_scale_is_a_usage_error(factor, capsys):
+    # no such flag: doubling --n-r, --n-theta and --n-upsilon refines every grid
     assert run(["bound", "--lambda-p", "3", "--d", "0.5", f"--quad-scale={factor}"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "scale" in err
+    assert "unrecognized arguments: --quad-scale" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore")
 def test_cli_empty_realizations_do_not_abort_the_run():
     assert run(["simulate", "--source", "ppp:lambda_p=0.05,window=4x4", "--beta-db", "0",
                 "--trials", "50", "--seed", "1", "--threads", "1"]) == 0
-
-
-def test_cli_bound_quad_scale(tmp_path):
-    # --quad-scale multiplies the recorded grids and matches an explicit run
-    scaled = tmp_path / "scaled.csv"
-    explicit = tmp_path / "explicit.csv"
-    assert run(["bound", "--kind", "proposition1", "--lambda-p", "3",
-                "--d", "0.5", "--beta-db", "10:5:20", "--n-r", "16",
-                "--n-theta", "32", "--n-upsilon", "32", "--quad-scale", "2",
-                "-o", str(scaled)]) == 0
-    cfg = read_config(scaled)
-    assert (cfg["n_r"], cfg["n_theta"], cfg["n_upsilon"]) == ("32", "64", "64")
-    assert run(["bound", "--kind", "proposition1", "--lambda-p", "3",
-                "--d", "0.5", "--beta-db", "10:5:20", "--n-r", "32",
-                "--n-theta", "64", "--n-upsilon", "64",
-                "-o", str(explicit)]) == 0
-    assert numeric_lines(scaled) == numeric_lines(explicit)
 
 
 def test_cli_bound_with_sim_gap_column(tmp_path, capsys):

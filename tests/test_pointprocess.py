@@ -11,10 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+import stochgeo
 from stochgeo import (
     DataError,
     MhcParams,
+    MhcSource,
     ParameterError,
+    PppSource,
     Window,
     generate_grid,
     load_deployment,
@@ -29,13 +32,14 @@ from stochgeo.pointprocess import (
     _close_pairs,
     _grid_shape,
     _min_mark_thinning,
-    _rng_for,
     _rng_from_state,
     _stream_states,
     mhc_realization,
     ppp_points,
 )
 from stochgeo import pointprocess
+
+from seed_streams import seed_sequence_rng
 
 
 def kd_tree(window, points):
@@ -132,7 +136,7 @@ def test_ppp_parameter_errors():
 
 
 def test_ppp_expected_count_cap_checked_before_any_draw():
-    rng = _rng_for(5)
+    rng = seed_sequence_rng(5)
     state = rng.bit_generator.state
     side = math.sqrt(MAX_EXPECTED_POINTS)
     with pytest.raises(ParameterError, match="cap"):
@@ -166,7 +170,7 @@ _mhc_cases = dict(seed=st.integers(0, 2**32 - 1), lambda_p=st.floats(0.5, 4.0),
 def test_mhc_retained_parents_are_d_apart(seed, lambda_p, d, edge):
     # every retained parent, guard extension included, under the window metric
     win = Window(5.0, 5.0, edge=edge)
-    parents, _, keep = mhc_realization(_rng_for(seed), MhcParams(lambda_p, d), win)
+    parents, _, keep = mhc_realization(seed_sequence_rng(seed), MhcParams(lambda_p, d), win)
     assert min_pair_distance(win, parents[keep]) >= d
 
 
@@ -174,7 +178,7 @@ def test_mhc_retained_parents_are_d_apart(seed, lambda_p, d, edge):
 @given(**_mhc_cases)
 def test_mhc_keep_set_invariant_under_joint_permutation(seed, lambda_p, d, edge):
     win = Window(5.0, 5.0, edge=edge)
-    rng = _rng_for(seed)
+    rng = seed_sequence_rng(seed)
     parents, marks, keep = mhc_realization(rng, MhcParams(lambda_p, d), win)
     perm = rng.permutation(len(parents))
     shuffled = parents[perm]
@@ -185,7 +189,7 @@ def test_mhc_parent_on_the_far_edge_wraps(monkeypatch):
     # a parent drawn exactly at x = width is the point x = 0 of the torus
     parents = np.array([[3.0, 1.0], [0.1, 1.0], [1.5, 2.0]])
     monkeypatch.setattr(pointprocess, "ppp_points", lambda *args: parents.copy())
-    _, marks, keep = mhc_realization(_rng_for(0), MhcParams(1.0, 0.5), Window(3.0, 3.0))
+    _, marks, keep = mhc_realization(seed_sequence_rng(0), MhcParams(1.0, 0.5), Window(3.0, 3.0))
     assert keep[2] and keep[:2].sum() == 1
     assert keep[int(np.argmin(marks[:2]))]
 
@@ -261,7 +265,7 @@ def test_tiny_hardcore_distance_keeps_the_cell_table_small():
     # by the point count instead
     tracemalloc.start()
     try:
-        parents, _, keep = mhc_realization(_rng_for(4), MhcParams(1.0, 1e-9),
+        parents, _, keep = mhc_realization(seed_sequence_rng(4), MhcParams(1.0, 1e-9),
                                            Window(10.0, 10.0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -296,9 +300,29 @@ def test_sampling_and_validators_never_load_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_every_public_name_resolves():
+    assert [name for name in stochgeo.__all__ if not hasattr(stochgeo, name)] == []
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 128 - 1))
+@example(seed=0)
+@example(seed=2 ** 32)
+@example(seed=2 ** 128 - 1)
+def test_samplers_draw_stream_zero_of_the_seed(seed):
+    params = MhcParams(2.0, 0.4)
+    for window in (Window(6.0, 5.0), Window(6.0, 5.0, edge="guard", margin=0.5)):
+        ppp, mhc = sample_ppp(2.0, window, seed), sample_mhc(params, window, seed)
+        assert ppp.seed == mhc.seed == seed
+        want = PppSource(2.0, window).points_for_trial(seed_sequence_rng(seed))
+        assert np.array_equal(ppp.points, want)
+        want = MhcSource(params, window).points_for_trial(seed_sequence_rng(seed))
+        assert np.array_equal(mhc.points, want)
+
+
 def test_mhc_retained_subset_of_parents():
     win = Window(15, 15)
-    rng = _rng_for(11)
+    rng = seed_sequence_rng(11)
     parents, marks, keep = mhc_realization(rng, MhcParams(1.0, 0.5), win)
     assert keep.shape == (len(parents),)
     assert 0 < keep.sum() < len(parents)
@@ -317,7 +341,7 @@ def test_mhc_density_matches_retention_formula():
     dens = []
     frac = []
     for seed in range(200):
-        parents, _, keep = mhc_realization(_rng_for(seed), params, win)
+        parents, _, keep = mhc_realization(seed_sequence_rng(seed), params, win)
         dens.append(keep.sum() / win.area)
         frac.append(keep.sum() / len(parents))
     dens = np.array(dens)
@@ -450,7 +474,7 @@ def test_block_streams_match_seed_sequence(seed, lo, n, block):
         ref = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
         assert words.dtype == np.uint64
         assert np.array_equal(words, ref.generate_state(4, np.uint64))
-        got, want = _rng_from_state(words), _rng_for(seed, i)
+        got, want = _rng_from_state(words), seed_sequence_rng(seed, i)
         assert got.bit_generator.state == want.bit_generator.state
         assert np.array_equal(got.random(3), want.random(3))
         assert got.poisson(50.0) == want.poisson(50.0)
