@@ -130,7 +130,7 @@ OPTIONS = {opt.flag.split()[-1].lstrip("-").replace("-", "_"): opt for opt in [
     Option("--kind", "kind", lambda v: v if v == "both" else bounds.BoundKind(v).value,
            "both", extra=dict(choices=["theorem1", "proposition1", "both"])),
     Option("--n-r", "n_r", int, 128),
-    Option("--n-theta", "n_theta", int, 256),
+    Option("--n-theta", "n_theta", int, 32),
     Option("--n-upsilon", "n_upsilon", int, 256),
     Option("--r-max", "r_max", float),
     Option("--with-sim", "with_sim", int, 0, "also simulate the process and report the gap",
@@ -467,8 +467,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors print one `error: ...` line to
+    stderr and exit 2, as parameter errors do; its subparsers inherit it."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stochgeo",
         description="Spatial point-process deployments, SINR coverage simulation, "
                     "and hardcore coverage bounds.")

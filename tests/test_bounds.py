@@ -19,6 +19,7 @@ from stochgeo import (
 from stochgeo import bounds
 from stochgeo.analytics import second_order_density
 from stochgeo.bounds import (
+    _angular_rule,
     _band_pair_density,
     _exponents,
     _kernel_from_geometry,
@@ -49,6 +50,16 @@ def test_quadconfig_validation_and_scaling():
     for r_max in (0.0, math.inf, math.nan):
         with pytest.raises(ParameterError):
             QuadConfig(r_max=r_max)
+
+
+def test_quadconfig_caps_n_theta_before_any_node_is_built(monkeypatch):
+    def rule(n):
+        raise AssertionError("angular nodes built for a rejected n_theta")
+
+    monkeypatch.setattr(bounds, "_angular_rule", rule)
+    with pytest.raises(ParameterError, match="n_theta"):
+        QuadConfig(n_theta=bounds.MAX_N_THETA + 1)
+    assert QuadConfig(n_theta=bounds.MAX_N_THETA).n_theta == bounds.MAX_N_THETA
 
 
 def test_kernel_reference_values():
@@ -224,9 +235,54 @@ def test_exponent_alpha_at_most_2_rejected():
     with pytest.raises(ParameterError):
         ChannelParams(alpha=2.0, sigma2=0.1)
     params = MhcParams(1.0, 0.1)
-    near, far = _exponents(BoundKind.THEOREM1, 0.5, np.array([1.0]), CH4, params,
-                           QuadConfig(), _pair_density_table(params))
+    quad_cfg = QuadConfig()
+    near, far = _exponents(BoundKind.THEOREM1, 0.5, np.array([1.0]), CH4, params, quad_cfg,
+                           _pair_density_table(params), _angular_rule(quad_cfg.n_theta))
     assert near[0] > 0 and far[0] > 0
+
+
+def trapezoid_rule(n):
+    """The uniform n-node trapezoid in the (t, w) form of bounds._angular_rule:
+    the angular rule of the bound before the Gauss-Legendre one."""
+    w = np.full(n, 2.0 / (n - 1))
+    w[0] = w[-1] = 1.0 / (n - 1)
+    return np.linspace(0.0, 1.0, n), w
+
+
+ANGULAR_CASES = [(3.0, 0.5), (10.0, 0.5), (1.0, 1e-3), (0.2, 2.0)]
+ANGULAR_BETA_DB = np.arange(-10.0, 21.0, 5.0)
+
+
+@pytest.mark.parametrize("lambda_p,d", ANGULAR_CASES)
+def test_bound_angular_rule_is_converged(lambda_p, d):
+    # 32 Gauss-Legendre nodes against 512 on the same R and r grids: the
+    # measured gap is about 5e-11 relative
+    params = MhcParams(lambda_p, d)
+    worst = 0.0
+    for alpha in (2.5, 4.0, 6.0):
+        ch = ChannelParams(alpha=alpha, sigma2=0.1)
+        for kind in BoundKind:
+            got = coverage_bound(kind, ch, params, ANGULAR_BETA_DB).p_c
+            ref = coverage_bound(kind, ch, params, ANGULAR_BETA_DB, QuadConfig(n_theta=512)).p_c
+            worst = max(worst, float(np.max(np.abs(got - ref) / ref)))
+    assert worst <= 1e-8
+
+
+@pytest.mark.parametrize("lambda_p,d", ANGULAR_CASES)
+def test_bound_angular_rule_matches_the_trapezoid_rule(lambda_p, d, monkeypatch):
+    # at the default grids the 256-node trapezoid was off by up to about
+    # 1.8e-7 relative; the Gauss-Legendre curves stay that close to it
+    params = MhcParams(lambda_p, d)
+    new, old = {}, {}
+    for alpha in (2.5, 4.0, 6.0):
+        ch = ChannelParams(alpha=alpha, sigma2=0.1)
+        for kind in BoundKind:
+            new[alpha, kind] = coverage_bound(kind, ch, params, ANGULAR_BETA_DB).p_c
+    monkeypatch.setattr(bounds, "_angular_rule", trapezoid_rule)
+    for (alpha, kind), got in new.items():
+        ch = ChannelParams(alpha=alpha, sigma2=0.1)
+        ref = coverage_bound(kind, ch, params, ANGULAR_BETA_DB, QuadConfig(n_theta=256)).p_c
+        assert np.max(np.abs(got - ref) / ref) <= 2e-7
 
 
 def test_bound_rejects_bad_grid_before_quadrature(monkeypatch):

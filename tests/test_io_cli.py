@@ -381,6 +381,27 @@ def test_cli_bound_bad_quad_scale_is_a_usage_error(factor, capsys):
     assert "unrecognized arguments: --quad-scale" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bound", "--lambda-p", "3", "--d", "0.5", "--quad-scale", "2"],
+    ["bound", "--lambda-p", "3", "--d", "0.5", "--n-theta", "2049"],
+    ["bound", "--lambda-p", "3", "--d", "0.5", "--n-theta", "1e3"],
+    ["bound", "--kind", "both3"],
+    ["validate", "rho2"],
+    ["nosuch"],
+    [],
+])
+def test_cli_usage_error_is_one_error_line(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_help_is_unchanged_by_the_one_line_errors(capsys):
+    assert run(["bound", "--help"]) == 0
+    out = capsys.readouterr()
+    assert out.out.startswith("usage: stochgeo bound") and out.err == ""
+
+
 @pytest.mark.filterwarnings("ignore")
 def test_cli_empty_realizations_do_not_abort_the_run():
     assert run(["simulate", "--source", "ppp:lambda_p=0.05,window=4x4", "--beta-db", "0",
@@ -656,11 +677,14 @@ def _fuzzed_argv(draw):
 @given(argv=_fuzzed_argv())
 def test_cli_fuzzed_argument_lists_exit_0_1_or_2(argv):
     here = os.getcwd()
+    err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
+            contextlib.redirect_stderr(err):
         os.chdir(tmp)  # -o and --config values name files in a fresh directory
         try:
             code = main(argv)
         finally:
             os.chdir(here)
     assert code in (0, 1, 2)
+    if code == 2:  # usage and parameter errors alike: one line
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
