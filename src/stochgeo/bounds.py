@@ -24,11 +24,12 @@ The near weight is an integral over psi of rho2, taken at every radial node
 by an n_theta-node Gauss-Legendre rule on [psi_d, psi_2d], where the
 integrand is smooth. The 32 default nodes sit within about 5e-11 relative of
 the converged curves (512 nodes); the R and r trapezoids hold the larger
-errors, about 6e-5 and 4e-5. The rule is built once per bound curve.
+errors, about 6e-5 and 4e-5.
 
-rho2 depends on upsilon alone, so each bound curve evaluates it once, at
-RHO2_TABLE_INTERVALS + 1 nodes equally spaced in upsilon^2 over [d^2, 4d^2],
-and every exponent interpolates linearly in upsilon^2 by index arithmetic.
+rho2 depends on upsilon alone, so it is tabulated at RHO2_TABLE_INTERVALS + 1
+nodes equally spaced in upsilon^2 over [d^2, 4d^2] and read by np.interp,
+linearly in upsilon^2. A bound curve takes every serving distance in one
+pass, which builds the table and the angular rule once.
 The measured interpolation error is at most 2.2e-7 lambda_m^2 (at
 (lambda_p, d) = (10, 0.5), next to the square-root edge of rho2 at 2d; the
 tests hold it below 1e-6 lambda_m^2) and moves the bound curves by less than
@@ -89,8 +90,9 @@ class QuadConfig:
                 raise ParameterError(f"{name} must be >= 16")
         if self.n_theta > MAX_N_THETA:
             raise ParameterError(f"n_theta must be <= {MAX_N_THETA}")
-        if self.r_max is not None and not (math.isfinite(self.r_max) and self.r_max > 0):
-            raise ParameterError("r_max must be finite and > 0")
+        r_max = self.r_max
+        if r_max is not None and not (r_max > 0 and math.isfinite(r_max * r_max)):
+            raise ParameterError("r_max must be > 0 with a finite square")
 
 
 class ExponentResult(NamedTuple):
@@ -130,19 +132,19 @@ def _outside_disk_integral(kind: BoundKind, r: float, beta_lin, alpha: float):
     return 0.5 * alpha * ratio - math.pi * r * r * np.log1p(beta)
 
 
-def _pair_density_table(params: MhcParams) -> np.ndarray:
-    """rho2 at RHO2_TABLE_INTERVALS + 1 nodes equally spaced in upsilon^2 over
-    the band [d^2, 4d^2]; built once per bound curve."""
+def _pair_density_table(params: MhcParams) -> tuple[np.ndarray, np.ndarray]:
+    """(upsilon^2 nodes, rho2 values) at RHO2_TABLE_INTERVALS + 1 nodes equally
+    spaced in upsilon^2 over the band [d^2, 4d^2], for np.interp."""
     d = params.d
-    ups = np.sqrt(np.linspace(d * d, 4.0 * d * d, RHO2_TABLE_INTERVALS + 1))
+    ups2 = np.linspace(d * d, 4.0 * d * d, RHO2_TABLE_INTERVALS + 1)
     # the band edges are d and 2d; clipping keeps rounding off the zero
     # branch of rho2 below d
-    return second_order_density(np.clip(ups, d, 2.0 * d), params)
+    return ups2, second_order_density(np.clip(np.sqrt(ups2), d, 2.0 * d), params)
 
 
 def _angular_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-node Gauss-Legendre rule as (t, w): nodes t = (x + 1)/2 in
-    (0, 1) and weights w on [-1, 1]; built once per bound curve.
+    (0, 1) and weights w on [-1, 1].
     numpy.polynomial is imported here, not with the module, so that sampling
     and simulation never load it."""
     from numpy.polynomial.legendre import leggauss
@@ -151,36 +153,10 @@ def _angular_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return (x + 1.0) / 2.0, w
 
 
-def _band_pair_density(params: MhcParams, ups2: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """rho2 at squared separations ups2, clipped to the band [d^2, 4d^2], by
-    linear interpolation in the table `values` of _pair_density_table; ups2
-    is overwritten. A band too narrow for floating point to resolve (d = 0,
-    or d below about 2e-153) holds no pair and reads 0."""
-    d = params.d
-    band = 3.0 * d * d
-    per = RHO2_TABLE_INTERVALS / band if band > 0 else math.inf
-    if not math.isfinite(per):
-        ups2.fill(0.0)
-        return ups2
-    # position in table intervals above d^2
-    pos = ups2
-    pos -= d * d
-    pos *= per
-    np.clip(pos, 0.0, RHO2_TABLE_INTERVALS, out=pos)
-    i = pos.astype(np.intp)
-    pos -= i
-    # at the top node i = RHO2_TABLE_INTERVALS, pos = 0 and any rise will do
-    pos *= np.diff(values).take(i, mode="clip")
-    pos += values.take(i)
-    return pos
-
-
-def _exponents(kind: BoundKind, r: float, beta_lin: np.ndarray, ch: ChannelParams,
-               params: MhcParams, quad: QuadConfig, rho2_table: np.ndarray,
-               rule: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """(near, far) interference exponents at serving distance r over beta_lin,
-    with the pair-density table of _pair_density_table and the angular rule
-    of _angular_rule.
+def _exponents(kind: BoundKind, r: np.ndarray, beta_lin: np.ndarray, ch: ChannelParams,
+               params: MhcParams, quad: QuadConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(near, far) interference exponents, each of shape (len(beta_lin), len(r)),
+    at the positive serving distances r over the thresholds beta_lin (1-D arrays).
 
     In polar coordinates (R, psi) around the user the kernel is
     K(beta * geom) with geom = (r/R)^alpha, so psi integrates out into one
@@ -195,41 +171,42 @@ def _exponents(kind: BoundKind, r: float, beta_lin: np.ndarray, ch: ChannelParam
     every interferer lies within d of the station, where the near weight is
     zero and the compact part cancels the closed form exactly.
     """
-    if not r > 0:
-        raise ParameterError("r must be > 0")
     kind = BoundKind(kind)
     lam_m = mhc_density(params)
     d = params.d
-    r0 = max(r, d - r)
-    R = np.geomspace(r0, r + 2.0 * d, quad.n_upsilon)
-    geom = ((r / R) ** 2) ** (ch.alpha / 2.0)
+    r0 = np.maximum(r, d - r)
+    R = np.geomspace(r0, r + 2.0 * d, quad.n_upsilon, axis=1)
+    r = r[:, None]
 
     def psi(s):
         return np.arccos(np.clip((R * R + r * r - s * s) / (2.0 * R * r), -1.0, 1.0))
 
     psi_d, psi_2d = psi(d), psi(2.0 * d)
-    span = psi_2d - psi_d
-    t, w = rule
-    angle = np.multiply.outer(span, t)
-    angle += psi_d[:, None]
-    # upsilon^2 of every node, in place: cos, scale, shift
-    ups2 = np.cos(angle, out=angle)
-    ups2 *= (-2.0 * r) * R[:, None]
-    ups2 += (R * R + r * r)[:, None]
-    rho2 = _band_pair_density(params, ups2, rho2_table)
-    # Gauss-Legendre in psi over each row: 2R times span/2 times the weighted
-    # sum; an elementwise sum, not a BLAS product, so the digits do not
-    # depend on the BLAS build or its threads
-    row_sum = (rho2 * w).sum(axis=1)
-    near_weight = R * span * row_sum / lam_m
     compact_weight = 2.0 * R * psi_2d
+    span = psi_2d - psi_d
+    # upsilon^2 = R^2 + r^2 - 2 R r cos(psi) of every node; np.interp holds
+    # the end values outside the band, and a band of zero width (d = 0, or d
+    # so small that d^2 underflows) has span 0
+    table = _pair_density_table(params)
+    scale, shift = (-2.0 * r) * R, R * R + r * r
+    near_weight = np.zeros_like(R)
+    # one node, then one threshold, at a time: every temporary is (len(r), n_upsilon)
+    for t, w in zip(*_angular_rule(quad.n_theta)):
+        near_weight += w * np.interp(np.cos(span * t + psi_d) * scale + shift, *table)
+    # Gauss-Legendre in psi: 2R times span/2 times the weighted sum
+    near_weight *= R * span
+    near_weight /= lam_m
+    del psi_d, psi_2d, span, scale, shift  # freed before the kernel pass
+    geom = ((r / R) ** 2) ** (ch.alpha / 2.0)
 
-    beta_lin = np.asarray(beta_lin, dtype=float)
-    kernel = _kernel_from_geometry(kind, geom[None, :], beta_lin[:, None])
-    near = np.trapezoid(kernel * near_weight, x=R, axis=1)
-    compact = np.trapezoid(kernel * compact_weight, x=R, axis=1)
-    # K(beta (r/R)^alpha) = K(beta geom[0] (r0/R)^alpha): the closed form at r0
-    outside = _outside_disk_integral(kind, r0, beta_lin * geom[0], ch.alpha)
+    near, compact = np.empty((2, beta_lin.size, r.size))
+    for i, beta in enumerate(beta_lin):
+        kernel = _kernel_from_geometry(kind, geom, beta)
+        near[i] = np.trapezoid(kernel * near_weight, x=R, axis=1)
+        compact[i] = np.trapezoid(kernel * compact_weight, x=R, axis=1)
+    # K(beta (r/R)^alpha) = K(beta geom[:, 0] (r0/R)^alpha): the closed form at r0
+    outside = _outside_disk_integral(kind, r0, np.multiply.outer(beta_lin, geom[:, 0]),
+                                     ch.alpha)
     return near, lam_m * (outside - compact)
 
 
@@ -249,11 +226,12 @@ def interference_exponent(kind: BoundKind, r: float, phi: float, beta_linear: fl
     perfbench/probes.py reads them.
     """
     quad = quad or QuadConfig()
+    if not (r > 0 and math.isfinite(r * r)):
+        raise ParameterError("r must be > 0 with a finite square")
     if not 0 <= beta_linear < math.inf:
         raise ParameterError("beta_linear must be finite and >= 0")
-    near, far = _exponents(kind, r, np.asarray([beta_linear]), ch, params, quad,
-                           _pair_density_table(params), _angular_rule(quad.n_theta))
-    return ExponentResult(float(near[0]), float(far[0]), 2.0 * params.d, 0.0, 0)
+    near, far = _exponents(kind, np.array([r], float), np.array([beta_linear]), ch, params, quad)
+    return ExponentResult(float(near[0, 0]), float(far[0, 0]), 2.0 * params.d, 0.0, 0)
 
 
 def coverage_bound(kind: BoundKind, ch: ChannelParams, params: MhcParams,
@@ -274,14 +252,11 @@ def coverage_bound(kind: BoundKind, ch: ChannelParams, params: MhcParams,
     k = np.arange(quad.n_r)
     r_grid = r_max * (k / (quad.n_r - 1)) ** 2
 
+    # the exponent stays 0 where r rounds to 0: empty_space_pdf(0) = 0
     mu = np.zeros((beta_lin.size, quad.n_r))
-    rho2_table = _pair_density_table(params)
-    rule = _angular_rule(quad.n_theta)
-    for j, r in enumerate(r_grid):
-        if r == 0.0:
-            continue  # zero weight: empty_space_pdf(0) = 0
-        near, far = _exponents(kind, float(r), beta_lin, ch, params, quad, rho2_table, rule)
-        mu[:, j] = near + far
+    positive = r_grid > 0
+    near, far = _exponents(kind, r_grid[positive], beta_lin, ch, params, quad)
+    mu[:, positive] = near + far
 
     weight = empty_space_pdf(r_grid, lam_m)
     noise = np.exp(-ch.gamma * beta_lin[:, None] * ch.sigma2 * r_grid[None, :] ** ch.alpha)

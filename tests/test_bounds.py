@@ -19,8 +19,6 @@ from stochgeo import (
 from stochgeo import bounds
 from stochgeo.analytics import second_order_density
 from stochgeo.bounds import (
-    _angular_rule,
-    _band_pair_density,
     _exponents,
     _kernel_from_geometry,
     _outside_disk_integral,
@@ -47,7 +45,8 @@ def kernel(kind, r, R, beta_linear, alpha):
 def test_quadconfig_validation_and_scaling():
     with pytest.raises(ParameterError):
         QuadConfig(n_r=8)
-    for r_max in (0.0, math.inf, math.nan):
+    # 1e200 is finite but its square is not
+    for r_max in (0.0, math.inf, math.nan, 1e200):
         with pytest.raises(ParameterError):
             QuadConfig(r_max=r_max)
 
@@ -96,9 +95,11 @@ def test_exponent_zero_threshold():
 
 
 def test_exponent_requires_positive_r():
-    with pytest.raises(ParameterError):
-        interference_exponent(BoundKind.THEOREM1, 0.0, 0.0, 1.0, CH4,
-                              MhcParams(3.0, 0.5))
+    # r = 1e200 is finite but its square is not
+    for r in (0.0, -1.0, math.nan, math.inf, 1e200):
+        with pytest.raises(ParameterError):
+            interference_exponent(BoundKind.THEOREM1, r, 0.0, 1.0, CH4,
+                                  MhcParams(3.0, 0.5))
 
 
 @pytest.mark.parametrize("kind", list(BoundKind))
@@ -219,26 +220,35 @@ def test_exponent_node_sweep_far_nonnegative_and_kinds_ordered():
     # kernel pointwise, so theorem1's exponent is never below proposition1's
     params = MhcParams(3.0, 0.5)
     betas = 10.0 ** (np.arange(-10.0, 31.0, 5.0) / 10.0)
-    bad = []
-    for r in np.geomspace(1e-3, 3.0, 40):
-        for beta in betas:
-            res = {kind: interference_exponent(kind, float(r), 0.0, float(beta), CH4, params)
-                   for kind in BoundKind}
-            th1, prop1 = res[BoundKind.THEOREM1], res[BoundKind.PROPOSITION1]
-            if (th1.far < 0 or prop1.far < 0
-                    or th1.near + th1.far < prop1.near + prop1.far):
-                bad.append((float(r), float(beta)))
-    assert bad == []
+    r = np.geomspace(1e-3, 3.0, 40)
+    (th1_near, th1_far), (prop1_near, prop1_far) = (
+        _exponents(kind, r, betas, CH4, params, QuadConfig()) for kind in BoundKind)
+    bad = (th1_far < 0) | (prop1_far < 0) | (th1_near + th1_far < prop1_near + prop1_far)
+    assert [(float(r[j]), float(betas[i])) for i, j in zip(*np.nonzero(bad))] == []
+
+
+@pytest.mark.parametrize("kind", list(BoundKind))
+@pytest.mark.parametrize("d", [0.5, 0.0])
+def test_exponents_over_r_match_the_single_r_exponent(kind, d):
+    # r = 0.1 and 0.3 lie below d = 0.5, on the r0 = d - r branch
+    params = MhcParams(3.0, d)
+    r = np.array([0.1, 0.3, 0.7, 2.0])
+    betas = np.array([0.1, 1.0, 100.0])
+    near, far = _exponents(kind, r, betas, CH4, params, QuadConfig())
+    assert near.shape == far.shape == (betas.size, r.size)
+    for i, beta in enumerate(betas):
+        for j, rj in enumerate(r):
+            res = interference_exponent(kind, float(rj), 0.0, float(beta), CH4, params)
+            assert near[i, j] == pytest.approx(res.near, rel=1e-12, abs=0.0)
+            assert far[i, j] == pytest.approx(res.far, rel=1e-12, abs=0.0)
 
 
 def test_exponent_alpha_at_most_2_rejected():
     with pytest.raises(ParameterError):
         ChannelParams(alpha=2.0, sigma2=0.1)
-    params = MhcParams(1.0, 0.1)
-    quad_cfg = QuadConfig()
-    near, far = _exponents(BoundKind.THEOREM1, 0.5, np.array([1.0]), CH4, params, quad_cfg,
-                           _pair_density_table(params), _angular_rule(quad_cfg.n_theta))
-    assert near[0] > 0 and far[0] > 0
+    near, far = _exponents(BoundKind.THEOREM1, np.array([0.5]), np.array([1.0]), CH4,
+                           MhcParams(1.0, 0.1), QuadConfig())
+    assert near[0, 0] > 0 and far[0, 0] > 0
 
 
 def trapezoid_rule(n):
@@ -347,6 +357,13 @@ def test_bound_below_float_resolution_of_the_band_is_the_zero_distance_one(kind)
     assert np.allclose(tiny.p_c, zero.p_c, rtol=1e-12, atol=0.0)
 
 
+def test_bound_at_subnormal_r_max_is_zero():
+    # r_max = 1e-320: r_grid[1] rounds to 0 and takes exponent 0 like r_grid[0]
+    curve = coverage_bound(BoundKind.PROPOSITION1, CH4, MhcParams(3.0, 0.5), [0.0],
+                           QuadConfig(r_max=1e-320))
+    assert curve.p_c.tolist() == [0.0]
+
+
 @pytest.mark.parametrize("kind", list(BoundKind))
 def test_bound_at_tiny_hardcore_distance_is_finite_and_the_zero_distance_one(kind):
     # d = 1e-60 still resolves the band; the pair density there once read NaN
@@ -361,7 +378,7 @@ def test_bound_at_tiny_hardcore_distance_is_finite_and_the_zero_distance_one(kin
 def test_pair_density_table_matches_closed_form(lambda_p, d):
     params = MhcParams(lambda_p, d)
     ups = np.random.default_rng(5).uniform(d, 2.0 * d, 100_000)
-    table = _band_pair_density(params, ups * ups, _pair_density_table(params))
+    table = np.interp(ups * ups, *_pair_density_table(params))
     exact = second_order_density(ups, params)
     assert np.max(np.abs(table - exact)) <= 1e-6 * mhc_density(params) ** 2
 

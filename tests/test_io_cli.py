@@ -389,6 +389,7 @@ def test_cli_bound_bad_quad_scale_is_a_usage_error(factor, capsys):
     ["validate", "rho2"],
     ["nosuch"],
     [],
+    ["bound", "--lambda-p", "3", "--d", "0.5", "--r-max", "1e200"],
 ])
 def test_cli_usage_error_is_one_error_line(argv, capsys):
     assert run(argv) == 2
