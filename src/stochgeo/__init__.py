@@ -30,6 +30,7 @@ from .coverage import (
     sinr_sample,
 )
 from .errors import DataError, ParameterError
+from .io import load_deployment
 from .pointprocess import (
     FixedSource,
     MhcParams,
@@ -38,7 +39,6 @@ from .pointprocess import (
     PppSource,
     Window,
     generate_grid,
-    load_deployment,
     sample_mhc,
     sample_ppp,
 )

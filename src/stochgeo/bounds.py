@@ -39,6 +39,7 @@ tests hold it below 1e-6 lambda_m^2) and moves the bound curves by less than
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -74,15 +75,12 @@ class QuadConfig:
     n_r points for the serving distance (clustered near 0), n_upsilon
     log-spaced radial nodes for the user-to-interferer distance R on
     [max(r, d - r), r + 2d], and n_theta Gauss-Legendre angular nodes per
-    radial node across the near shell (at most MAX_N_THETA). r_max of None
-    truncates the serving-distance integral where the empty-space CDF mass
-    left behind is ~1e-11.
+    radial node across the near shell (at most MAX_N_THETA).
     """
 
     n_r: int = 128
     n_theta: int = 32
     n_upsilon: int = 256
-    r_max: float | None = None
 
     def __post_init__(self):
         for name in ("n_r", "n_theta", "n_upsilon"):
@@ -90,9 +88,6 @@ class QuadConfig:
                 raise ParameterError(f"{name} must be >= 16")
         if self.n_theta > MAX_N_THETA:
             raise ParameterError(f"n_theta must be <= {MAX_N_THETA}")
-        r_max = self.r_max
-        if r_max is not None and not (r_max > 0 and math.isfinite(r_max * r_max)):
-            raise ParameterError("r_max must be > 0 with a finite square")
 
 
 class ExponentResult(NamedTuple):
@@ -226,8 +221,9 @@ def interference_exponent(kind: BoundKind, r: float, phi: float, beta_linear: fl
     perfbench/probes.py reads them.
     """
     quad = quad or QuadConfig()
-    if not (r > 0 and math.isfinite(r * r)):
-        raise ParameterError("r must be > 0 with a finite square")
+    outer = r + 2.0 * params.d
+    if not (r > 0 and math.isfinite(outer * outer + r * r)):
+        raise ParameterError("r must be > 0 with (r + 2d)^2 + r^2 finite")
     if not 0 <= beta_linear < math.inf:
         raise ParameterError("beta_linear must be finite and >= 0")
     near, far = _exponents(kind, np.array([r], float), np.array([beta_linear]), ch, params, quad)
@@ -240,23 +236,27 @@ def coverage_bound(kind: BoundKind, ch: ChannelParams, params: MhcParams,
     """Lower bound on Matern hardcore coverage over a threshold grid.
 
     Integrates empty_space_pdf(r) * exp(-gamma*beta*sigma2*r^alpha) *
-    exp(-(near+far)) over r on [0, r_max] with a grid clustered near 0.
+    exp(-(near+far)) over r on [0, r_max] with a grid clustered near 0;
+    r_max = 5/sqrt(pi lambda_m) leaves empty-space CDF mass ~1e-11 behind.
     """
     kind = BoundKind(kind)
     quad = quad or QuadConfig()
     beta_db = threshold_grid(beta_db)
     beta_lin = beta_db_to_linear(beta_db)
     lam_m = mhc_density(params)
-    r_max = quad.r_max if quad.r_max is not None else 5.0 / math.sqrt(math.pi * lam_m)
+    r_max = 5.0 / math.sqrt(math.pi * lam_m)
+    # r_max^alpha (noise) and (r_max + 2d)^2 + r_max^2 (exponents) are finite when
+    # (r_max + 2d)^(alpha + 1) is; in logs, as a float ** overflows with an error
+    if not (ch.alpha + 1.0) * math.log(r_max + 2.0 * params.d) < math.log(sys.float_info.max):
+        raise ParameterError(f"retained density {lam_m:g} is too small: serving "
+                             f"distances up to {r_max:g} km overflow the bound")
 
     k = np.arange(quad.n_r)
     r_grid = r_max * (k / (quad.n_r - 1)) ** 2
 
-    # the exponent stays 0 where r rounds to 0: empty_space_pdf(0) = 0
+    # r_grid[0] = 0 keeps exponent 0: empty_space_pdf(0) = 0
     mu = np.zeros((beta_lin.size, quad.n_r))
-    positive = r_grid > 0
-    near, far = _exponents(kind, r_grid[positive], beta_lin, ch, params, quad)
-    mu[:, positive] = near + far
+    mu[:, 1:] = np.add(*_exponents(kind, r_grid[1:], beta_lin, ch, params, quad))
 
     weight = empty_space_pdf(r_grid, lam_m)
     noise = np.exp(-ch.gamma * beta_lin[:, None] * ch.sigma2 * r_grid[None, :] ** ch.alpha)

@@ -132,7 +132,6 @@ OPTIONS = {opt.flag.split()[-1].lstrip("-").replace("-", "_"): opt for opt in [
     Option("--n-r", "n_r", int, 128),
     Option("--n-theta", "n_theta", int, 32),
     Option("--n-upsilon", "n_upsilon", int, 256),
-    Option("--r-max", "r_max", float),
     Option("--with-sim", "with_sim", int, 0, "also simulate the process and report the gap",
            dict(action="store_true")),
     Option("--threads", None, int, 0, "worker cap (0 = auto)"),
@@ -289,7 +288,7 @@ def _build_source(params: dict, args):
     win = _window(spec, edge, margin, default_edge="guard", kind=kind)
     if kind == "grid":
         return pointprocess.FixedSource(pointprocess.generate_grid(params["n"], win))
-    return pointprocess.FixedSource(pointprocess.load_deployment(params["path"], win))
+    return pointprocess.FixedSource(io.load_deployment(params["path"], win))
 
 
 def _source_to_config(params: dict) -> str:
@@ -330,8 +329,7 @@ def _cmd_bound(args) -> int:
     params = pointprocess.MhcParams(args.lambda_p, args.d)
     ch = _channel(args)
     beta_db = parse_grid_spec(args.beta_db)
-    quad = bounds.QuadConfig(n_r=args.n_r, n_theta=args.n_theta, n_upsilon=args.n_upsilon,
-                             r_max=args.r_max)
+    quad = bounds.QuadConfig(n_r=args.n_r, n_theta=args.n_theta, n_upsilon=args.n_upsilon)
     kinds = list(bounds.BoundKind) if args.kind == "both" else [bounds.BoundKind(args.kind)]
 
     seed = trials = None
@@ -358,7 +356,7 @@ def _cmd_bound(args) -> int:
     config = _record("bound", lambda_p=args.lambda_p, d=args.d, window=args.window,
                      alpha=ch.alpha, sigma2=ch.sigma2, p_t=ch.p_t, beta_db=args.beta_db,
                      kind=args.kind, n_r=quad.n_r, n_theta=quad.n_theta,
-                     n_upsilon=quad.n_upsilon, r_max=quad.r_max, trials=trials, seed=seed,
+                     n_upsilon=quad.n_upsilon, trials=trials, seed=seed,
                      with_sim=1 if with_sim else None)
     _emit(args.out, io.curves_csv_text(curves, config, gaps))
     return 0
@@ -454,7 +452,7 @@ _COMMANDS = {
     "simulate": ("Monte Carlo coverage curve(s)", _cmd_simulate, "source lambda_p d n file "
                  "beta_db trials threads window edge margin alpha sigma2 p_t config out seed", {}),
     "bound": ("quadrature lower bounds on MHC coverage", _cmd_bound, "kind lambda_p d beta_db "
-              "n_r n_theta n_upsilon r_max with_sim trials threads window alpha "
+              "n_r n_theta n_upsilon with_sim trials threads window alpha "
               "sigma2 p_t config out seed", {}),
     "validate": ("empirical checks of the analytics", _cmd_validate,
                  "check lambda_p d r alpha beta_db realizations ks_tol seed",

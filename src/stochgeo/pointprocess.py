@@ -1,10 +1,10 @@
 """Spatial point processes for base-station deployments.
 
 Samplers for the homogeneous Poisson process, the Matern hardcore process
-(type II dependent thinning) and centered square lattices, plus a CSV loader
-for fixed deployments. All realizations live inside a rectangular Window
-whose edge policy (toroidal wrap or guard band) defines the distance metric
-used for thinning and for nearest-station queries.
+(type II dependent thinning) and centered square lattices; fixed deployments
+are read from CSV by io.load_deployment. All realizations live inside a
+rectangular Window whose edge policy (toroidal wrap or guard band) defines
+the distance metric used for thinning and for nearest-station queries.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import DataError, ParameterError
+from .errors import ParameterError
 
 EDGE_TOROIDAL = "toroidal"
 EDGE_GUARD = "guard"
@@ -442,73 +442,6 @@ def generate_grid(n_points: int, window: Window) -> PointSet:
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     return PointSet(pts, window, f"grid(n={realized})", None)
-
-
-def _parse_affine_comment(line: str) -> dict | None:
-    """Parse '# offset_x=<v> offset_y=<v> scale=<v>' headers; None if the
-    comment carries no affine tokens."""
-    body = line.lstrip("#").strip()
-    out = {}
-    for token in body.split():
-        if "=" not in token:
-            continue
-        key, _, value = token.partition("=")
-        if key in ("offset_x", "offset_y", "scale"):
-            try:
-                out[key] = float(value)
-            except ValueError:
-                raise DataError(f"bad affine value in header comment: {token!r}")
-    return out or None
-
-
-def load_deployment(path, window: Window) -> PointSet:
-    """Load fixed station coordinates from a CSV with header `x_km,y_km`.
-
-    A leading comment line `# offset_x=<v> offset_y=<v> scale=<v>` declares an
-    affine applied before windowing as (x + offset) * scale. Points landing
-    outside the window are dropped, with the count reported via a warning.
-    """
-    affine = {"offset_x": 0.0, "offset_y": 0.0, "scale": 1.0}
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header_seen = False
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parsed = _parse_affine_comment(line)
-                if parsed and not header_seen:
-                    affine.update(parsed)
-                continue
-            if not header_seen:
-                cols = [c.strip() for c in line.split(",")]
-                if cols[:2] != ["x_km", "y_km"]:
-                    raise DataError(f"line {lineno}: expected header 'x_km,y_km', "
-                                    f"got {line!r}")
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) < 2:
-                raise DataError(f"line {lineno}: expected two comma-separated values")
-            try:
-                rows.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                raise DataError(f"line {lineno}: could not parse coordinates {line!r}")
-    if not rows:
-        raise DataError(f"{path}: no coordinate rows found")
-    pts = np.asarray(rows, dtype=float)
-    pts[:, 0] = (pts[:, 0] + affine["offset_x"]) * affine["scale"]
-    pts[:, 1] = (pts[:, 1] + affine["offset_y"]) * affine["scale"]
-    inside = window.contains(pts)
-    n_rejected = int((~inside).sum())
-    if n_rejected:
-        warnings.warn(f"{n_rejected} rejected (outside the "
-                      f"{window.width:g}x{window.height:g} window)", stacklevel=2)
-    pts = pts[inside]
-    if not len(pts):
-        raise DataError(f"{path}: no points inside the window")
-    return PointSet(pts, window, f"file({path})", None)
 
 
 # ---------------------------------------------------------------------------

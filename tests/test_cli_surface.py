@@ -73,7 +73,6 @@ SURFACE = {
         (("--n-r",), "n_r", "int", None, None, None, False),
         (("--n-theta",), "n_theta", "int", None, None, None, False),
         (("--n-upsilon",), "n_upsilon", "int", None, None, None, False),
-        (("--r-max",), "r_max", "float", None, None, None, False),
         (("--with-sim",), "with_sim", None, False, None, 0, False),
         (("--trials",), "trials", "int", None, None, None, False),
         (("--threads",), "threads", "int", 0, None, None, False),

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stochgeo import CoverageCurve, Window, cli, load_deployment
+from stochgeo import CoverageCurve, DataError, PointSet, Window, cli, load_deployment
 from stochgeo.cli import OPTIONS, _record, main, parse_grid_spec, parse_window
 from stochgeo.io import (
     config_lines,
     fmt,
     parse_kv_comments,
+    points_csv_text,
     read_config,
     read_curves_csv,
     write_curves_csv,
@@ -95,7 +96,7 @@ def test_config_keys_are_recorded_in_a_fixed_order():
     assert list(_CONFIG_VALUES) == [
         "source", "file", "lambda_p", "d", "n_points", "window", "edge", "margin", "alpha",
         "sigma2", "p_t", "beta_db", "trials", "seed", "kind", "n_r", "n_theta", "n_upsilon",
-        "r_max", "with_sim"]
+        "with_sim"]
 
 
 def test_parse_kv_comments_ignores_data_rows():
@@ -119,6 +120,99 @@ def test_curves_csv_round_trip(tmp_path):
     assert np.array_equal(got["sim"].p_c, mc.p_c)
     assert np.array_equal(got["sim"].std_err, mc.std_err)
     assert got["theorem1"].std_err is None
+
+
+# the UTF-8 byte-order mark that spreadsheet tools often put before a CSV export
+BOM = b"\xef\xbb\xbf"
+
+
+@st.composite
+def _sampled_point_sets(draw):
+    """A point set in a toroidal or guard window, with the config lines
+    `sample` records for it."""
+    width, height = draw(st.floats(1e-3, 1e3)), draw(st.floats(1e-3, 1e3))
+    edge = draw(st.sampled_from(["toroidal", "guard"]))
+    margin = draw(st.floats(0.0, 0.49)) * min(width, height) if edge == "guard" else 0.0
+    window = Window(width, height, edge=edge, margin=margin)
+    points = draw(st.lists(st.tuples(st.floats(0.0, width), st.floats(0.0, height)),
+                           min_size=1, max_size=20))
+    lambda_p, d = draw(st.floats(1e-3, 1e3)), draw(st.floats(0.0, 10.0))
+    seed = draw(st.integers(0, 2 ** 63))
+    config = _record("sample", source="mhc", lambda_p=lambda_p, d=d,
+                     window=f"{fmt(width)}x{fmt(height)}", edge=edge,
+                     margin=margin or None, seed=seed)
+    label = f"mhc(lambda_p={lambda_p:g},d={d:g})"
+    return PointSet(np.array(points), window, label, seed), config
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sampled=_sampled_point_sets(), bom=st.booleans(), crlf=st.booleans())
+def test_points_csv_round_trips_through_load_deployment(sampled, bom, crlf, tmp_path):
+    point_set, config = sampled
+    data = points_csv_text(point_set, config).encode("utf-8")
+    if crlf:
+        data = data.replace(b"\n", b"\r\n")
+    path = tmp_path / "points.csv"
+    path.write_bytes(BOM + data if bom else data)
+    loaded = load_deployment(path, point_set.window)
+    assert loaded.points.tobytes() == point_set.points.tobytes()
+
+
+def test_load_deployment_reads_a_bom_prefixed_file(tmp_path):
+    text = "# offset_x=-1000 offset_y=-2000 scale=0.001\nx_km,y_km\n6000,4000\n1000,2500\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(BOM + text.encode("utf-8"))
+    expected = load_deployment(plain, Window(10, 10)).points
+    assert load_deployment(marked, Window(10, 10)).points.tolist() == expected.tolist()
+    assert expected.tolist() == [[5.0, 2.0], [0.0, 0.5]]
+
+
+def test_load_deployment_applies_affine_keys_of_a_later_leading_comment(tmp_path):
+    f = tmp_path / "dep.csv"
+    f.write_text("# provenance=survey\n# offset_x=-1000\n\n# offset_y=-2000 scale=0.001\n"
+                 "x_km,y_km\n6000,4000\n")
+    assert load_deployment(f, Window(10, 10)).points.tolist() == [[5.0, 2.0]]
+
+
+def test_load_deployment_ignores_affine_keys_after_the_header(tmp_path):
+    f = tmp_path / "dep.csv"
+    f.write_text("x_km,y_km\n# offset_x=-1000 scale=0.001\n5,2\n# scale=bad\n")
+    assert load_deployment(f, Window(10, 10)).points.tolist() == [[5.0, 2.0]]
+
+
+def test_load_deployment_bad_affine_value_is_a_data_error(tmp_path):
+    f = tmp_path / "dep.csv"
+    f.write_text("# scale=abc\nx_km,y_km\n5,2\n")
+    with pytest.raises(DataError, match="bad affine value.*scale"):
+        load_deployment(f, Window(10, 10))
+
+
+def test_read_curves_csv_reads_a_bom_prefixed_file(tmp_path):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    write_curves_csv(plain, [CoverageCurve(np.array([0.0, 5.0]), np.array([0.5, 0.25]),
+                                           np.array([0.01, 0.02]), "mhc(lambda_p=2,d=0.4)")],
+                     {"alpha": "4.0"})
+    marked.write_bytes(BOM + plain.read_bytes())
+    (want,), want_config = read_curves_csv(plain)
+    (got,), got_config = read_curves_csv(marked)
+    assert got_config == want_config == {"alpha": "4.0"}
+    assert got.label == want.label
+    for field in ("beta_db", "p_c", "std_err"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+
+def test_cli_config_with_bom_keeps_its_first_key(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_bytes(BOM + b"trials=7\nsource=mhc\nlambda_p=2\nd=0.4\nbeta_db=0:5:10\nseed=8\n")
+    assert read_config(cfg)["trials"] == "7"
+    out = tmp_path / "out.csv"
+    assert run(["simulate", "--config", str(cfg), "--threads", "1", "-o", str(out)]) == 0
+    (curve,), embedded = read_curves_csv(out)
+    assert embedded["trials"] == "7"
+    # every coverage estimate is a count of 7 trials
+    assert np.array_equal(curve.p_c * 7, np.round(curve.p_c * 7))
 
 
 def test_cli_sample_deterministic(tmp_path):
@@ -311,17 +405,18 @@ def test_cli_bound_rerun_bit_identical(tmp_path):
 
 
 def test_cli_bound_config_ignores_tail_tol(tmp_path):
-    # configs written before the far field went closed form carry tail_tol
+    # configs written before the far field went closed form carry tail_tol, and
+    # older bound configs r_max
     args = ["bound", "--kind", "proposition1", "--lambda-p", "2", "--d", "0.4",
             "--beta-db", "0:5:10", "--n-r", "16", "--n-theta", "32", "--n-upsilon", "32"]
     fresh = tmp_path / "fresh.csv"
     assert run(args + ["-o", str(fresh)]) == 0
     old = tmp_path / "old.csv"
-    old.write_text("# tail_tol=0.001\n" + fresh.read_text())
+    old.write_text("# tail_tol=0.001\n# r_max=1e100\n" + fresh.read_text())
     rerun = tmp_path / "rerun.csv"
     assert run(["bound", "--config", str(old), "-o", str(rerun)]) == 0
     assert numeric_lines(rerun) == numeric_lines(fresh)
-    assert "tail_tol" not in read_config(rerun)
+    assert "tail_tol" not in read_config(rerun) and "r_max" not in read_config(rerun)
 
 
 def test_cli_bound_tail_tol_flag_is_gone(capsys):
@@ -372,6 +467,18 @@ def test_cli_underflowing_retained_density_is_a_usage_error(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "underflows" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # 5/sqrt(pi lambda_m) is about 2.8e154: (r + 2d)^2 + r^2 overflows
+    ["bound", "--lambda-p", "1e-308", "--d", "0.5"],
+    # r^alpha overflows, and the noise factor would compute 0 * inf
+    ["bound", "--lambda-p", "1e-200", "--d", "0.5", "--sigma2", "0"],
+])
+def test_cli_bound_overflowing_serving_distance_range_is_a_usage_error(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "overflow" in err
 
 
 @pytest.mark.parametrize("factor", ["0", "-1", "nan", "inf"])
