@@ -292,6 +292,8 @@ def _build_source(params: dict, args):
 
 
 def _source_to_config(params: dict) -> str:
+    if any(sep in params.get("path", "") for sep in ",;"):
+        raise ParameterError(f"--file path {params['path']!r} must not hold ',' or ';'")
     inline = ",".join(f"{k}={io.fmt(params[k])}" for k in _INLINE
                       if params.get(k) is not None)
     return f"{params['kind']}:{inline}" if inline else params["kind"]
@@ -310,12 +312,12 @@ def _cmd_simulate(args) -> int:
                              "inline, e.g. mhc:lambda_p=2,d=0.4")
 
     parsed = [_parse_source_spec(s, args) for s in args.source]
-    curves = [coverage.simulate_coverage(_build_source(p, args), ch, beta_db, trials, seed,
-                                         threads=args.threads) for p in parsed]
     config = _record("simulate", source=";".join(_source_to_config(p) for p in parsed),
                      window=args.window, edge=args.edge, margin=args.margin,
                      alpha=ch.alpha, sigma2=ch.sigma2, p_t=ch.p_t,
                      beta_db=args.beta_db, trials=trials, seed=seed)
+    curves = [coverage.simulate_coverage(_build_source(p, args), ch, beta_db, trials, seed,
+                                         threads=args.threads) for p in parsed]
     _emit(args.out, io.curves_csv_text(curves, config))
     return 0
 

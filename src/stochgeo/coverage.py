@@ -126,28 +126,30 @@ def _eval_trial_sinr(points: np.ndarray, sizes: np.ndarray, users: np.ndarray,
     interferes. Noise enters as sigma2 / p_t, so scaling {p_t, sigma2} by a
     common factor leaves the result unchanged. Returns (sinr per trial,
     number of trials whose serving distance is below the R_MIN_KM floor).
+    Distances stay squared: path gains are max(d^2, R_MIN_KM^2)^(-alpha/2).
     """
     starts = np.cumsum(sizes) - sizes
-    dist = window.distances(np.repeat(users, sizes, axis=0), points)
-    r = np.minimum.reduceat(dist, starts)
-    at_min = np.flatnonzero(dist == np.repeat(r, sizes))
-    gain = fades * np.maximum(dist, R_MIN_KM) ** -ch.alpha
+    users = np.repeat(np.asarray(users, dtype=float), sizes, axis=0)
+    dx, dy = window._fold(points[:, 0] - users[:, 0], points[:, 1] - users[:, 1])
+    d2 = np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
+    r2 = np.minimum.reduceat(d2, starts)
+    at_min = np.flatnonzero(d2 == np.repeat(r2, sizes))
+    gain = fades * np.maximum(d2, R_MIN_KM ** 2) ** (-ch.alpha / 2)
     gain[at_min[np.searchsorted(at_min, starts)]] = 0.0
     denom = ch.sigma2 / ch.p_t + np.add.reduceat(gain, starts)
-    num = serving_fades * np.maximum(r, R_MIN_KM) ** -ch.alpha
+    num = serving_fades * np.maximum(r2, R_MIN_KM ** 2) ** (-ch.alpha / 2)
     sinr = np.divide(num, denom, out=np.full(len(sizes), math.inf), where=denom > 0)
-    return sinr, int(np.count_nonzero(r < R_MIN_KM))
+    return sinr, int(np.count_nonzero(r2 < R_MIN_KM ** 2))
 
 
 def sinr_sample(user, bs: PointSet, ch: ChannelParams, rng: np.random.Generator) -> float:
     """Single SINR sample for a user at a fixed location: nearest-station
     association, Rayleigh fades with mean power p_t on every link. Fade draw
-    order: serving first, then one per station."""
+    order: one block, the serving fade first, then one per station."""
     if len(bs) == 0:
         raise DataError("deployment has no stations")
-    serving = rng.standard_exponential()
-    sinr, _ = _eval_trial_sinr(bs.points, [len(bs)], [user], [serving],
-                               rng.standard_exponential(len(bs)), bs.window, ch)
+    fades = rng.standard_exponential(len(bs) + 1)
+    sinr, _ = _eval_trial_sinr(bs.points, [len(bs)], [user], fades[:1], fades[1:], bs.window, ch)
     return float(sinr[0])
 
 
@@ -165,15 +167,17 @@ def _count_chunk(source, ch: ChannelParams, beta_lin: np.ndarray, seed: int,
     Each trial draws from its own generator stream keyed by (seed, index), in
     the order stations, user x, user y, serving fade, one fade per station,
     so the reduction is independent of chunking, blocking and execution
-    order. The streams' seed words are derived a block of trials at a time,
-    and draws are scored in one pass per BLOCK_STATIONS stations. A trial
-    whose realization has no station is an outage at every threshold.
+    order. The user is one rng.random(2) call, scaled per block as
+    low + span * u like Generator.uniform, and the fades one
+    standard_exponential(n + 1) call, serving first. Seed words are derived a
+    block of trials at a time; draws are scored per BLOCK_STATIONS stations.
+    A trial with no station is an outage at every threshold.
     """
     window = source.window
-    xmin, xmax, ymin, ymax = window.interior_bounds()
+    low, high = np.array(window.interior_bounds()).reshape(2, 2).T
     counts = np.zeros(len(beta_lin), dtype=np.int64)
     clamped = empty = buffered = 0
-    pts, users, serving, fades = [], [], [], []
+    pts, users, fades = [], [], []
     for trial, words in zip(range(lo, hi), _stream_states(seed, lo, hi)):
         rng = _trial_rng(words)
         stations = source.points_for_trial(rng)
@@ -181,17 +185,17 @@ def _count_chunk(source, ch: ChannelParams, beta_lin: np.ndarray, seed: int,
             empty += 1
         else:
             pts.append(stations)
-            users.append((rng.uniform(xmin, xmax), rng.uniform(ymin, ymax)))
-            serving.append(rng.standard_exponential())
-            fades.append(rng.standard_exponential(len(stations)))
+            users.append(rng.random(2))
+            fades.append(rng.standard_exponential(len(stations) + 1))
             buffered += len(stations)
         if pts and (buffered >= BLOCK_STATIONS or trial == hi - 1):
             sinr, n_clamped = _eval_trial_sinr(
-                np.concatenate(pts), np.array([len(p) for p in pts]), np.array(users),
-                np.array(serving), np.concatenate(fades), window, ch)
+                np.concatenate(pts), np.array([len(p) for p in pts]),
+                low + (high - low) * np.array(users), np.array([f[0] for f in fades]),
+                np.concatenate([f[1:] for f in fades]), window, ch)
             clamped += n_clamped
             counts += (sinr[:, None] >= beta_lin).sum(axis=0)
-            pts, users, serving, fades = [], [], [], []
+            pts, users, fades = [], [], []
             buffered = 0
     return counts, clamped, empty
 

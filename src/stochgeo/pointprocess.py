@@ -63,6 +63,8 @@ class Window:
     def __post_init__(self):
         if not (0 < self.width < math.inf and 0 < self.height < math.inf):
             raise ParameterError("window width and height must be finite and > 0")
+        if not self.width * self.width + self.height * self.height < math.inf:
+            raise ParameterError("window is too large: its squared diagonal overflows")
         if self.edge not in (EDGE_TOROIDAL, EDGE_GUARD):
             raise ParameterError(f"unknown edge policy {self.edge!r}")
         if not 0 <= self.margin < math.inf:
@@ -88,18 +90,22 @@ class Window:
             & (points[:, 1] <= self.height)
         )
 
+    def _fold(self, dx: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """In place: |dx|, |dy|, minimum-image on a torus. The one wrap rule."""
+        np.abs(dx, out=dx)
+        np.abs(dy, out=dy)
+        if self.toroidal:
+            np.minimum(dx, self.width - dx, out=dx)
+            np.minimum(dy, self.height - dy, out=dy)
+        return dx, dy
+
     def distances(self, origin, points: np.ndarray) -> np.ndarray:
         """Distances from `origin` to each row of `points` under the window's
         metric (wrapped for toroidal, Euclidean for guard). `origin` is one
         location for every row, or one row of locations per point."""
         points = np.atleast_2d(points)
         origin = np.asarray(origin, dtype=float)
-        dx = np.abs(points[:, 0] - origin[..., 0])
-        dy = np.abs(points[:, 1] - origin[..., 1])
-        if self.toroidal:
-            dx = np.minimum(dx, self.width - dx)
-            dy = np.minimum(dy, self.height - dy)
-        return np.hypot(dx, dy)
+        return np.hypot(*self._fold(points[:, 0] - origin[..., 0], points[:, 1] - origin[..., 1]))
 
     def interior_bounds(self) -> tuple[float, float, float, float]:
         """(xmin, xmax, ymin, ymax) of the region where test locations are
@@ -249,15 +255,16 @@ def ppp_points(rng: np.random.Generator, lambda_p: float, xmin: float, xmax: flo
                ymin: float, ymax: float) -> np.ndarray:
     """Homogeneous Poisson realization on a rectangle: Poisson count, uniform
     coordinates. Draw order (count, x block, y block) is part of the
-    reproducibility contract."""
+    reproducibility contract; both blocks are one rng.random(2n) call, scaled
+    in place as low + span * u like Generator.uniform, returned transposed."""
     mean = lambda_p * (xmax - xmin) * (ymax - ymin)
     if not mean <= MAX_EXPECTED_POINTS:
         raise ParameterError(f"expected {mean:.3g} points per realization exceeds the cap "
                              f"of {MAX_EXPECTED_POINTS:g}; lower the density or the window")
-    n = rng.poisson(mean)
-    x = rng.uniform(xmin, xmax, n)
-    y = rng.uniform(ymin, ymax, n)
-    return np.column_stack([x, y])
+    xy = rng.random(2 * rng.poisson(mean)).reshape(2, -1)
+    xy *= [[xmax - xmin], [ymax - ymin]]
+    xy += [[xmin], [ymin]]
+    return xy.T
 
 
 def _sample(source, seed: int) -> PointSet:
@@ -348,13 +355,9 @@ def _close_pairs(points: np.ndarray, r: float,
     xs, ys = x[order], y[order]
     dx = xs[i]
     dx -= xs[j]
-    np.abs(dx, out=dx)
     dy = ys[i]
     dy -= ys[j]
-    np.abs(dy, out=dy)
-    if torus:
-        np.minimum(dx, window.width - dx, out=dx)
-        np.minimum(dy, window.height - dy, out=dy)
+    window._fold(dx, dy)
     dx *= dx
     dy *= dy
     dx += dy

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
@@ -104,6 +104,29 @@ def test_single_station_no_noise_is_infinite():
     assert sinr_sample((5.0, 6.0), bs, ch, np.random.default_rng(0)) == math.inf
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 128 - 1), n=st.integers(1, 40), toroidal=st.booleans(),
+       user=st.tuples(st.floats(1.0, 7.0), st.floats(1.0, 5.0)))
+@example(seed=0, n=12, toroidal=True, user=(2.0, 1.5))
+@example(seed=2 ** 32, n=1, toroidal=False, user=(4.0, 3.0))
+@example(seed=2 ** 128 - 1, n=40, toroidal=True, user=(1.0, 5.0))
+def test_sinr_sample_draws_the_fades_of_one_call_per_draw(seed, n, toroidal, user):
+    # sinr_sample's one standard_exponential(n + 1) block holds the values of
+    # a scalar serving fade followed by standard_exponential(n)
+    window = Window(8.0, 6.0) if toroidal else Window(8.0, 6.0, edge="guard", margin=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # n not realizable as a lattice
+        bs = generate_grid(n, window)
+    ch = ChannelParams(alpha=4.0, sigma2=0.1)
+    got_rng, want_rng = seed_sequence_rng(seed), seed_sequence_rng(seed)
+    got = sinr_sample(user, bs, ch, got_rng)
+    serving = want_rng.standard_exponential()
+    want, _ = _eval_trial_sinr(bs.points, [len(bs)], [user], [serving],
+                               want_rng.standard_exponential(len(bs)), window, ch)
+    assert np.float64(got).tobytes() == want[:1].tobytes()  # bit for bit
+    assert got_rng.random(4).tobytes() == want_rng.random(4).tobytes()
+
+
 def test_simulate_ccdf_limits():
     source = PppSource(1.0, Window(20, 20))
     ch = ChannelParams(alpha=4.0, sigma2=0.1)
@@ -162,9 +185,19 @@ def test_removing_nearest_interferer_never_hurts():
 
 
 def reference_trial(points, window, user, serving_fade, fades, ch):
-    """Scalar SINR of one trial, station by station: (sinr, clamped, serving index)."""
+    """Scalar SINR of one trial, station by station: (sinr, clamped, serving index).
+
+    The serving station is the first of least squared distance, as the scorer
+    ranks them (distances below about 1e-154 km square to 0 and tie); path
+    gains take the distances themselves."""
     dist = [float(x) for x in window.distances(user, points)]
-    k = dist.index(min(dist))
+    squared = []
+    for px, py in points:
+        dx, dy = abs(px - user[0]), abs(py - user[1])
+        if window.toroidal:
+            dx, dy = min(dx, window.width - dx), min(dy, window.height - dy)
+        squared.append(dx * dx + dy * dy)
+    k = squared.index(min(squared))
     interference = sum(f * max(x, R_MIN_KM) ** -ch.alpha
                        for j, (f, x) in enumerate(zip(fades, dist)) if j != k)
     denom = ch.sigma2 / ch.p_t + interference
@@ -191,6 +224,10 @@ def _trial(draw):
 @given(trials=st.lists(_trial(), min_size=1, max_size=4), toroidal=st.booleans(),
        alpha=st.floats(2.1, 6.0), sigma2=st.sampled_from([0.0, 0.1]),
        p_t=st.floats(0.5, 2.0))
+# two stations inside the clamp, one at a distance whose square underflows to 0:
+# their squared distances tie, and the first serves
+@example(trials=[([(0.0, 5.77649256199604e-243), (0.0, 0.0)], (0.0, 0.0), 1.0, [1.0, 0.5])],
+         toroidal=False, alpha=3.0, sigma2=0.0, p_t=1.0)
 def test_block_scorer_matches_per_trial_reference(trials, toroidal, alpha, sigma2, p_t):
     window = Window(8.0, 6.0) if toroidal else Window(8.0, 6.0, edge="guard", margin=1.0)
     ch = ChannelParams(alpha, sigma2, p_t)

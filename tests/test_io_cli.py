@@ -497,6 +497,8 @@ def test_cli_bound_bad_quad_scale_is_a_usage_error(factor, capsys):
     ["nosuch"],
     [],
     ["bound", "--lambda-p", "3", "--d", "0.5", "--r-max", "1e200"],
+    # squared distances across this window would overflow
+    ["simulate", "--source", "grid:n=4", "--window", "1e200x1e200", "--trials", "10"],
 ])
 def test_cli_usage_error_is_one_error_line(argv, capsys):
     assert run(argv) == 2
@@ -662,6 +664,25 @@ def test_cli_fuzzed_inline_sources_never_raise(kind, pairs, tmp_path, monkeypatc
     code = run(["simulate", "--source", spec, "--window", "6x6", "--trials", "1",
                 "--beta-db", "0", "--seed", "1"])
     assert code in (0, 1, 2)
+
+
+@pytest.mark.parametrize("name", ["dep,a.csv", "dep;a.csv"])
+def test_cli_simulate_rejects_a_deployment_path_its_source_line_cannot_hold(
+        name, tmp_path, monkeypatch, capsys):
+    # the recorded source line splits on ',' and ';', so --config could not
+    # rerun such a path: simulate refuses it before any trial runs
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli.coverage, "simulate_coverage", None)
+    assert run(["sample", "grid", "--n", "16", "--window", "10x10", "-o", name]) == 0
+    capsys.readouterr()
+    for source in (["--source", "file", "--file", name], ["--source", f"file:path={name}"]):
+        assert run(["simulate", *source, "--window", "10x10", "--trials", "20",
+                    "-o", "out.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and name in err
+    assert not (tmp_path / "out.csv").exists()
+    assert run(["simulate", "--config", "out.csv"]) == 1  # nothing to rerun
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 def test_cli_validate_zero_realizations_is_a_usage_error():

@@ -87,6 +87,8 @@ def test_window_validation():
         Window(10, 10, edge="guard", margin=-1)
     with pytest.raises(ParameterError):
         Window(10, 10, edge="guard", margin=5)  # no interior left
+    with pytest.raises(ParameterError, match="squared diagonal"):
+        Window(1e200, 1.0)  # squared distances in it would overflow
 
 
 def test_toroidal_distance_wraps():
@@ -143,6 +145,35 @@ def test_ppp_expected_count_cap_checked_before_any_draw():
         ppp_points(rng, 2.0, 0.0, side, 0.0, side)
     assert rng.bit_generator.state == state
     assert len(ppp_points(rng, 1e-3, 0.0, side, 0.0, side)) > 0  # below the cap
+
+
+def ppp_points_two_uniform_calls(rng, lambda_p, xmin, xmax, ymin, ymax):
+    """ppp_points as one call per draw: the count, then one Generator.uniform
+    call per axis, stacked as columns."""
+    n = rng.poisson(lambda_p * (xmax - xmin) * (ymax - ymin))
+    return np.column_stack([rng.uniform(xmin, xmax, n), rng.uniform(ymin, ymax, n)])
+
+
+# rectangle sides (low, high): a zero lower corner, any lower corner, and the
+# (-d, width + d) side of a guard-band MHC parent window
+_SIDE = st.one_of(
+    st.floats(0.1, 30.0).map(lambda w: (0.0, w)),
+    st.tuples(st.floats(-50.0, 50.0), st.floats(0.1, 30.0)).map(lambda cw: (cw[0], sum(cw))),
+    st.tuples(st.floats(1.0, 30.0), st.floats(0.0, 2.0)).map(lambda wd: (-wd[1], sum(wd))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 128 - 1), lambda_p=st.floats(0.01, 3.0), xs=_SIDE, ys=_SIDE)
+@example(seed=0, lambda_p=2.0, xs=(0.0, 6.0), ys=(0.0, 5.0))
+@example(seed=2 ** 32, lambda_p=2.0, xs=(-0.4, 6.4), ys=(-0.4, 5.4))  # MHC(2, 0.4) guard
+@example(seed=2 ** 128 - 1, lambda_p=1.0, xs=(-0.5, 10.5), ys=(3.25, 7.5))
+def test_ppp_points_equals_one_uniform_call_per_axis(seed, lambda_p, xs, ys):
+    got_rng, want_rng = seed_sequence_rng(seed), seed_sequence_rng(seed)
+    got = ppp_points(got_rng, lambda_p, *xs, *ys)
+    want = ppp_points_two_uniform_calls(want_rng, lambda_p, *xs, *ys)
+    assert got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()  # bit for bit
+    assert got_rng.random(4).tobytes() == want_rng.random(4).tobytes()
 
 
 def test_mhc_d_zero_equals_parent_ppp():
