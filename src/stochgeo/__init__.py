@@ -27,7 +27,6 @@ from .coverage import (
     beta_db_to_linear,
     fit_mhc,
     simulate_coverage,
-    sinr_sample,
 )
 from .errors import DataError, ParameterError
 from .io import load_deployment
@@ -78,6 +77,5 @@ __all__ = [
     "sample_ppp",
     "second_order_density",
     "simulate_coverage",
-    "sinr_sample",
     "void_probability_empirical",
 ]

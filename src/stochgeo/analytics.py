@@ -38,7 +38,7 @@ RHO2_SERIES_T = 1e-3
 def retention_probability(params: MhcParams) -> float:
     """Chance that a parent point survives min-mark thinning:
     (1 - exp(-lambda_p*pi*d^2)) / (lambda_p*pi*d^2), continuous limit 1 at d=0."""
-    t = params.lambda_p * math.pi * params.d ** 2
+    t = params.lambda_p * math.pi * params.d * params.d
     if t == 0.0:
         return 1.0
     return -math.expm1(-t) / t
@@ -82,6 +82,8 @@ def second_order_density(upsilon, params: MhcParams):
     scalar = u.ndim == 0
     u = np.atleast_1d(u)
     d = params.d
+    if not params.lambda_p * params.lambda_p < math.inf:
+        raise ParameterError("lambda_p is too large: lambda_p^2 overflows")
     lam_m = mhc_density(params)
     out = np.full(u.shape, lam_m * lam_m)
     if d > 0:
@@ -96,10 +98,12 @@ def second_order_density(upsilon, params: MhcParams):
                 2.0 * (-t) ** (k - 2) / math.factorial(k) * (v ** (k - 1) - 1.0) / (v - 1.0)
                 for k in range(2, 9))
         elif mid.any():
-            V = disc_union_area(u[mid], d)
-            pidd = math.pi * d * d
-            num = 2 * V * (-math.expm1(-t)) - 2 * pidd * (-np.expm1(-params.lambda_p * V))
-            out[mid] = num / (pidd * V * (V - pidd))
+            # lengths in units of s = d (rho2 scales as s^-4) where d^6 leaves the floats
+            s = 1.0 if 1e-50 < d < 1e50 else d
+            V = disc_union_area(u[mid] / s, d / s)
+            pidd = math.pi * (d / s) * (d / s)
+            num = 2 * V * (-math.expm1(-t)) - 2 * pidd * (-np.expm1(-params.lambda_p * s * s * V))
+            out[mid] = num / (pidd * V * (V - pidd)) / (s * s) / (s * s)
     return float(out[0]) if scalar else out
 
 
@@ -147,19 +151,18 @@ def _realizations(params: MhcParams, window: Window, n_realizations: int, seed: 
 
 
 def void_probability_empirical(params: MhcParams, r: float, n_realizations: int,
-                               seed: int, window: Window | None = None) -> VoidEstimate:
+                               seed: int) -> VoidEstimate:
     """Monte Carlo estimate of P[no retained point within distance r of a
     uniform test location], one test location per realization: the share of
-    nearest_distance_samples beyond r, on a torus sized for r by default."""
+    nearest_distance_samples beyond r, on the torus sized for r."""
     if not r > 0:
         raise ParameterError("r must be > 0")
     _check_count(n_realizations, 1, "n_realizations")
     if n_realizations < 30:
         warnings.warn(f"void probability from only {n_realizations} realizations; "
                       "standard error is unreliable", stacklevel=2)
-    if window is None:
-        window = default_torus(params, extent=r)
-    samples = nearest_distance_samples(params, n_realizations, seed, window)
+    samples = nearest_distance_samples(params, n_realizations, seed,
+                                       default_torus(params, extent=r))
     p = np.count_nonzero(samples > r) / n_realizations
     se = math.sqrt(p * (1.0 - p) / n_realizations)
     return VoidEstimate(p, se)
@@ -171,8 +174,7 @@ def nearest_distance_samples(params: MhcParams, n_realizations: int, seed: int,
     sampled across independent realizations."""
     _check_count(n_realizations, 1, "n_realizations")
     seed = _check_seed(seed)
-    if window is None:
-        window = default_torus(params)
+    window = window or default_torus(params)
     out = np.empty(n_realizations)
     for i, (rng, pts) in enumerate(_realizations(params, window, n_realizations, seed)):
         loc = rng.uniform(0.0, 1.0, 2) * (window.width, window.height)
@@ -185,13 +187,12 @@ class KsResult(NamedTuple):
     n_samples: int
 
 
-def empty_space_ks(params: MhcParams, n_realizations: int, seed: int,
-                   window: Window | None = None) -> KsResult:
+def empty_space_ks(params: MhcParams, n_realizations: int, seed: int) -> KsResult:
     """Kolmogorov-Smirnov distance between sampled nearest-point distances
     and the exponential-form CDF 1 - exp(-pi*lambda_m*r^2). The CDF is an
     approximation whose quality degrades as d grows, so this reports rather
     than judges."""
-    samples = np.sort(nearest_distance_samples(params, n_realizations, seed, window))
+    samples = np.sort(nearest_distance_samples(params, n_realizations, seed))
     lam_m = mhc_density(params)
     cdf = empty_space_cdf(samples, lam_m)
     n = len(samples)
@@ -207,36 +208,30 @@ class PairDensityEstimate(NamedTuple):
 
 
 def pair_density_empirical(params: MhcParams, upsilons, n_realizations: int,
-                           seed: int, window: Window | None = None,
-                           halfwidth: float | None = None) -> PairDensityEstimate:
+                           seed: int) -> PairDensityEstimate:
     """Empirical second-order product density at the given separations.
 
-    Counts ordered point pairs falling in [u-h, u+h] per realization on a
-    torus and normalizes by area * 2*pi*u * 2h; the standard error comes from
-    the spread across realizations. Distances are minimum-image, so the torus
-    must be more than twice as wide as the largest bin edge.
+    Counts ordered point pairs falling in [u-h, u+h], h = 0.02 d (0.02 min(u)
+    when d = 0), per realization on the torus sized for max(u) and normalizes
+    by area * 2*pi*u * 2h; the standard error comes from the spread across
+    realizations.
     """
     _check_count(n_realizations, 2, "n_realizations")
     seed = _check_seed(seed)
     ups = np.sort(np.asarray(upsilons, dtype=float))
     if np.any(ups <= 0):
         raise ParameterError("upsilons must be > 0")
-    if window is None:
-        window = default_torus(params, extent=float(ups.max()))
-    if not window.toroidal:
-        raise ParameterError("pair density estimation requires a toroidal window")
-    if halfwidth is None:
-        halfwidth = 0.02 * params.d if params.d > 0 else 0.02 * float(ups.min())
-    if not (math.isfinite(halfwidth) and halfwidth > 0):
-        raise ParameterError("halfwidth must be finite and > 0")
-    edges = np.concatenate([ups - halfwidth, ups + halfwidth])
+    window = default_torus(params, extent=float(ups.max()))
+    h = 0.02 * params.d if params.d > 0 else 0.02 * float(ups.min())
+    norm = window.area * 2.0 * math.pi * ups * 2.0 * h
+    if not np.all(norm > 0):
+        raise ParameterError("d or upsilon is too small: the bin area underflows to 0")
+    edges = np.concatenate([ups - h, ups + h])
+    # minimum-image counts need reach < side/2, and they get it: the side is
+    # at least max(4 max(u), 8d) and reach at most max(u) + 0.02 max(d, min(u))
     reach = float(np.abs(edges).max())
-    if reach >= min(window.width, window.height) / 2:
-        raise ParameterError("the largest bin edge must be < half the window size "
-                             "for toroidal pair counts")
     # a pair is in a bin when lower edge^2 < distance^2 <= upper edge^2
     edges2 = edges * edges
-    norm = window.area * 2.0 * math.pi * ups * 2.0 * halfwidth
     per_real = np.empty((n_realizations, len(ups)))
     for i, (_, pts) in enumerate(_realizations(params, window, n_realizations, seed)):
         d2 = np.sort(_close_pairs(pts, reach, window)[2])

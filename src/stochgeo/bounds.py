@@ -55,7 +55,7 @@ from .analytics import (
 )
 from .coverage import ChannelParams, CoverageCurve, beta_db_to_linear, threshold_grid
 from .errors import DataError, ParameterError
-from .pointprocess import MhcParams, Window, _check_count, _check_seed
+from .pointprocess import MhcParams, _check_count, _check_seed
 
 # Intervals of the pair-density table over the band d^2 <= upsilon^2 <= 4d^2.
 RHO2_TABLE_INTERVALS = 2048
@@ -231,8 +231,7 @@ def interference_exponent(kind: BoundKind, r: float, phi: float, beta_linear: fl
 
 
 def coverage_bound(kind: BoundKind, ch: ChannelParams, params: MhcParams,
-                   beta_db: Sequence[float], quad: QuadConfig | None = None,
-                   label: str | None = None) -> CoverageCurve:
+                   beta_db: Sequence[float], quad: QuadConfig | None = None) -> CoverageCurve:
     """Lower bound on Matern hardcore coverage over a threshold grid.
 
     Integrates empty_space_pdf(r) * exp(-gamma*beta*sigma2*r^alpha) *
@@ -262,7 +261,7 @@ def coverage_bound(kind: BoundKind, ch: ChannelParams, params: MhcParams,
     noise = np.exp(-ch.gamma * beta_lin[:, None] * ch.sigma2 * r_grid[None, :] ** ch.alpha)
     integrand = weight[None, :] * noise * np.exp(-mu)
     values = np.trapezoid(integrand, x=r_grid, axis=1)
-    return CoverageCurve(beta_db, np.clip(values, 0.0, 1.0), None, label or kind.value)
+    return CoverageCurve(beta_db, np.clip(values, 0.0, 1.0), None, kind.value)
 
 
 class PgflCheck(NamedTuple):
@@ -273,8 +272,7 @@ class PgflCheck(NamedTuple):
 
 
 def pgfl_bound_check(params: MhcParams, ch: ChannelParams, beta_linear: float,
-                     r: float, n_realizations: int, seed: int,
-                     window: Window | None = None) -> PgflCheck:
+                     r: float, n_realizations: int, seed: int) -> PgflCheck:
     """Empirical check of the PGFL-style inequality behind the tighter bound.
 
     Estimates lhs = E[prod over interferers of (1 - K_x)] and
@@ -282,8 +280,8 @@ def pgfl_bound_check(params: MhcParams, ch: ChannelParams, beta_linear: float,
     own points, with the ratio kernel K_x = x/(1+x), x = beta*(r/R_x)^alpha,
     and the user at distance r from that point. The typical point is a
     uniformly random retained point of each realization (exact Palm sampling
-    on a torus); the process equals a Poisson one in the d -> 0 limit, where
-    lhs and rhs agree in expectation.
+    on the torus sized for r); the process equals a Poisson one in the
+    d -> 0 limit, where lhs and rhs agree in expectation.
     """
     _check_count(n_realizations, 100, "n_realizations")
     if not 0 <= beta_linear < math.inf:
@@ -291,16 +289,13 @@ def pgfl_bound_check(params: MhcParams, ch: ChannelParams, beta_linear: float,
     if not r > 0:
         raise ParameterError("r must be > 0")
     seed = _check_seed(seed)
-    if window is None:
-        window = default_torus(params, extent=r)
-    if not window.toroidal:
-        raise ParameterError("Palm sampling requires a toroidal window")
+    window = default_torus(params, extent=r)
 
     prods = np.empty(n_realizations)
     sums = np.empty(n_realizations)
     for i, (rng, pts) in enumerate(_realizations(params, window, n_realizations, seed)):
         if len(pts) == 0:
-            raise DataError("empty realization; enlarge the window or density")
+            raise DataError("empty realization; raise lambda_p")
         idx = int(rng.integers(len(pts)))
         angle = rng.uniform(0.0, 2.0 * math.pi)
         user = np.remainder(pts[idx] + r * np.array([math.cos(angle), math.sin(angle)]),

@@ -22,10 +22,8 @@ import numpy as np
 from .analytics import MIN_WINDOW_SPACINGS, default_torus
 from .errors import DataError, ParameterError
 from .pointprocess import (
-    FixedSource,
     MhcParams,
     MhcSource,
-    PointSet,
     R_MIN_KM,
     Window,
     _check_count,
@@ -142,17 +140,6 @@ def _eval_trial_sinr(points: np.ndarray, sizes: np.ndarray, users: np.ndarray,
     return sinr, int(np.count_nonzero(r2 < R_MIN_KM ** 2))
 
 
-def sinr_sample(user, bs: PointSet, ch: ChannelParams, rng: np.random.Generator) -> float:
-    """Single SINR sample for a user at a fixed location: nearest-station
-    association, Rayleigh fades with mean power p_t on every link. Fade draw
-    order: one block, the serving fade first, then one per station."""
-    if len(bs) == 0:
-        raise DataError("deployment has no stations")
-    fades = rng.standard_exponential(len(bs) + 1)
-    sinr, _ = _eval_trial_sinr(bs.points, [len(bs)], [user], fades[:1], fades[1:], bs.window, ch)
-    return float(sinr[0])
-
-
 def _trial_rng(words: np.ndarray) -> np.random.Generator:
     # Its own function, called once per trial, so that perfbench traces the
     # per-trial generator set-up by this name (coverage.rng_setup_us).
@@ -206,12 +193,10 @@ def simulate_coverage(source, ch: ChannelParams, beta_db: Sequence[float],
     """Monte Carlo coverage curve P[SINR >= beta] for a deployment source.
 
     `source` is one of the pointprocess sources (PppSource, MhcSource,
-    FixedSource) or a PointSet (treated as fixed). `threads` caps worker
-    processes (0 = auto, 1 = in-process; never more than the CPU count).
-    Results are reproducible for a given seed regardless of threads.
+    FixedSource). `threads` caps worker processes (0 = auto, 1 = in-process;
+    never more than the CPU count). Results are reproducible for a given seed
+    regardless of threads.
     """
-    if isinstance(source, PointSet):
-        source = FixedSource(source)
     _check_run(n_trials, threads)
     seed = _check_seed(seed)
     beta_db = threshold_grid(beta_db)

@@ -63,6 +63,8 @@ class Window:
     def __post_init__(self):
         if not (0 < self.width < math.inf and 0 < self.height < math.inf):
             raise ParameterError("window width and height must be finite and > 0")
+        if not self.width * self.height > 0:
+            raise ParameterError("window is too small: its area underflows to 0")
         if not self.width * self.width + self.height * self.height < math.inf:
             raise ParameterError("window is too large: its squared diagonal overflows")
         if self.edge not in (EDGE_TOROIDAL, EDGE_GUARD):

@@ -11,7 +11,6 @@ from scipy.spatial import cKDTree
 from stochgeo import (
     MhcParams,
     ParameterError,
-    Window,
     default_torus,
     disc_union_area,
     empty_space_cdf,
@@ -160,6 +159,41 @@ def test_rho2_matches_high_precision_closed_form(lambda_p, d):
             rho2_reference(lambda_p, d, u), rel=1e-10, abs=0.0)
 
 
+@pytest.mark.parametrize("lambda_p,d", [(1e-106, 1e53), (3e-200, 1e100), (1e-300, 1e150),
+                                        (1e118, 1e-60), (4e150, 1e-77)])
+def test_rho2_matches_high_precision_closed_form_where_d6_leaves_the_floats(lambda_p, d):
+    # pi d^2 * V * (V - pi d^2) overflows or underflows here; t = lambda_p pi d^2
+    # stays above the series cut-over
+    params = MhcParams(lambda_p, d)
+    for ratio in (1.01, 1.5, 1.99):
+        assert second_order_density(ratio * d, params) == pytest.approx(
+            rho2_reference(lambda_p, d, ratio * d), rel=1e-10, abs=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lambda_p=st.one_of(st.floats(1e-310, 1e300),  # linearly, and by decade
+                          st.floats(-310.0, 300.0).map(lambda e: 10.0 ** e)),
+       d=st.one_of(st.floats(0.0, 1e300), st.floats(-320.0, 300.0).map(lambda e: 10.0 ** e)),
+       ratio=st.floats(0.0, 3.0))
+@example(lambda_p=3.0, d=1e200, ratio=1.5)
+@example(lambda_p=1e200, d=1e-102, ratio=1.5)
+@example(lambda_p=1e300, d=0.0, ratio=1.0)
+@example(lambda_p=1e-310, d=1e155, ratio=1.5)
+@example(lambda_p=1e-106, d=1e53, ratio=1.5)
+@example(lambda_p=1e118, d=1e-60, ratio=1.5)
+def test_closed_forms_are_finite_or_reject_the_parameters(lambda_p, d, ratio):
+    # no OverflowError, ZeroDivisionError or float warning at any finite
+    # (lambda_p, d): a finite value, or a ParameterError that names the cause
+    params = MhcParams(lambda_p, d)
+    for f in (mhc_density, lambda p: default_torus(p).area,
+              lambda p: second_order_density(np.array([0.5, 1.0, 2.0, ratio]) * (d or 1.0), p)):
+        try:
+            value = f(params)
+        except ParameterError:
+            continue
+        assert np.all(np.isfinite(value))
+
+
 def test_rho2_matches_pair_counting_oracle():
     # kernel pair-density estimator, 3 sigma gate at a mid-shell separation
     params = MhcParams(1.0, 0.5)
@@ -219,31 +253,20 @@ def test_void_probability_is_share_of_nearest_distances_beyond_r():
     assert est.probability == np.count_nonzero(samples > r) / n
 
 
-def test_pair_density_rejects_guard_window():
-    with pytest.raises(ParameterError, match="toroidal"):
-        pair_density_empirical(MhcParams(1.0, 0.5), [0.6], 2, seed=1,
-                               window=Window(20.0, 20.0, edge="guard"))
+@pytest.mark.parametrize("d,ups", [(5e-324, [1e-323]), (1e-170, [1.5e-170]),
+                                   (0.0, [1e-300, 0.5])])
+def test_pair_density_rejects_bins_whose_area_underflows(d, ups):
+    # h = 0.02 d (0.02 min(u) at d = 0) or area * 2 pi u * 2h rounds to 0
+    with pytest.raises(ParameterError, match="underflows"):
+        pair_density_empirical(MhcParams(1.0, d), ups, 2, seed=1)
 
 
-@pytest.mark.parametrize("side", [1.9, 2.0, 2.04])
-def test_pair_density_rejects_torus_narrower_than_twice_the_largest_edge(side):
-    # largest edge 0.9 + 0.12 = 1.02 km: a 2.04 km torus is just too narrow
-    with pytest.raises(ParameterError, match="half the window"):
-        pair_density_empirical(MhcParams(1.0, 0.2), [0.5, 0.9], 2, seed=1,
-                               window=Window(side, 10.0), halfwidth=0.12)
-
-
-@pytest.mark.parametrize("halfwidth", [0.0, -0.01, math.nan, math.inf])
-def test_pair_density_rejects_bad_halfwidth(halfwidth):
-    # 0 divides 0 pairs by 0 area; -0.01 would mirror +0.01
-    with pytest.raises(ParameterError, match="halfwidth"):
-        pair_density_empirical(MhcParams(1.0, 0.5), [0.6, 0.8], 20, seed=1,
-                               halfwidth=halfwidth)
-
-
-def count_neighbors_density(params, ups, n_realizations, seed, window, halfwidth):
+def count_neighbors_density(params, ups, n_realizations, seed):
     """pair_density_empirical's estimate from scipy's count_neighbors, which
-    counts ordered pairs (self pairs included) up to each edge."""
+    counts ordered pairs (self pairs included) up to each edge, on the same
+    default torus and half-width."""
+    window = default_torus(params, extent=float(ups.max()))
+    halfwidth = 0.02 * params.d if params.d > 0 else 0.02 * float(ups.min())
     edges = np.concatenate([ups - halfwidth, ups + halfwidth])
     norm = window.area * 2.0 * math.pi * ups * 2.0 * halfwidth
     box = (window.width, window.height)
@@ -257,17 +280,18 @@ def count_neighbors_density(params, ups, n_realizations, seed, window, halfwidth
 
 
 @settings(max_examples=60, deadline=None)
-@given(lambda_p=st.floats(0.5, 4.0), d=st.floats(0.0, 0.6), side=st.floats(3.0, 9.0),
-       ups=st.lists(st.floats(0.01, 1.2), min_size=1, max_size=6, unique=True),
-       halfwidth=st.sampled_from([0.01, 0.05, 0.2]), seed=st.integers(0, 2 ** 32 - 1))
-@example(lambda_p=2.0, d=0.5, side=4.0, ups=[0.05, 0.5, 1.0], halfwidth=0.2, seed=7)
-def test_pair_counts_match_count_neighbors(lambda_p, d, side, ups, halfwidth, seed):
-    # edges below 0 (u < h) included: count_neighbors squares them, as the bins do
+@given(lambda_p=st.floats(0.5, 4.0), d=st.one_of(st.just(0.0), st.floats(1e-300, 0.6)),
+       ups=st.lists(st.floats(0.001, 1.2), min_size=1, max_size=6, unique=True),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(lambda_p=2.0, d=0.5, ups=[0.005, 0.5, 1.0], seed=7)
+@example(lambda_p=1.0, d=0.0, ups=[0.05, 0.3, 1.2], seed=11)
+def test_pair_counts_match_count_neighbors(lambda_p, d, ups, seed):
+    # edges below 0 (u < h = 0.02 d) included: count_neighbors squares them,
+    # as the bins do
     params = MhcParams(lambda_p, d)
-    window = Window(side, side * 1.25)
     ups = np.sort(ups)
-    est = pair_density_empirical(params, ups, 3, seed, window, halfwidth)
-    density, std_err = count_neighbors_density(params, ups, 3, seed, window, halfwidth)
+    est = pair_density_empirical(params, ups, 3, seed)
+    density, std_err = count_neighbors_density(params, ups, 3, seed)
     assert np.array_equal(est.density, density)
     assert np.array_equal(est.std_err, std_err)
 

@@ -469,6 +469,28 @@ def test_cli_underflowing_retained_density_is_a_usage_error(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and "underflows" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    # t = lambda_p pi d^2 is inf, so the retained density is 0
+    (["simulate", "--source", "mhc", "--lambda-p", "3", "--d", "1e200", "--trials", "5",
+      "--threads", "1"], "underflows"),
+    (["validate", "void", "--lambda-p", "3", "--d", "1e200", "--r", "1"], "underflows"),
+    (["bound", "--lambda-p", "3", "--d", "1e200"], "underflows"),
+    # the series branch of rho2 scales by lambda_p^2
+    (["bound", "--lambda-p", "1e200", "--d", "1e-102", "--beta-db", "0"], "lambda_p^2"),
+    # a window whose area rounds to 0
+    (["sample", "grid", "--n", "4", "--window", "1e-300x1e-300"], "area"),
+    (["simulate", "--source", "grid", "--n", "4", "--window", "1e-300x1e-300", "--trials",
+      "5", "--threads", "1"], "area"),
+    (["sample", "ppp", "--lambda-p", "1", "--window", "1e-300x1e-300"], "area"),
+    # bins of half-width 0.02 d whose normalizing area rounds to 0
+    (["validate", "rho2", "--lambda-p", "1", "--d", "1e-170"], "bin area"),
+])
+def test_cli_overflowing_or_underflowing_scale_is_a_usage_error(argv, message, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
 @pytest.mark.parametrize("argv", [
     # 5/sqrt(pi lambda_m) is about 2.8e154: (r + 2d)^2 + r^2 overflows
     ["bound", "--lambda-p", "1e-308", "--d", "0.5"],
@@ -768,7 +790,8 @@ def test_cli_out_of_memory_is_a_one_line_data_error(module, name, argv, exc, mes
 # keeps a flag's last value, so a drawn value can only make a run smaller or
 # invalid: at most 2 trials (no worker pool starts below 2000), at most 100
 # realizations, quadrature grids of 16 to 32 nodes.
-_FUZZ_VALUES = ["inf", "nan", "-1", "0", "1", "2", "0.4", "abc", "", "10x10"]
+_FUZZ_VALUES = ["inf", "nan", "-1", "0", "1", "2", "0.4", "abc", "", "10x10", "1e200",
+                "1e-300x1e-300"]
 _FUZZ_PREFIX = {
     "sample": ["--window", "10x10", "--lambda-p", "1", "--d", "0.4", "--n", "4"],
     "simulate": ["--trials", "1", "--threads", "1", "--beta-db", "0", "--source", "mhc",

@@ -89,6 +89,10 @@ def test_window_validation():
         Window(10, 10, edge="guard", margin=5)  # no interior left
     with pytest.raises(ParameterError, match="squared diagonal"):
         Window(1e200, 1.0)  # squared distances in it would overflow
+    for w, h in ((1e-300, 1e-300), (1e-162, 1e-162), (5e-324, 0.1)):
+        with pytest.raises(ParameterError, match="area underflows"):
+            Window(w, h)  # every point density and lattice spacing divides by the area
+    assert Window(1e-161, 1e-161).area > 0
 
 
 def test_toroidal_distance_wraps():
