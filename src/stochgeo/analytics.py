@@ -213,8 +213,8 @@ def pair_density_empirical(params: MhcParams, upsilons, n_realizations: int,
 
     Counts ordered point pairs falling in [u-h, u+h], h = 0.02 d (0.02 min(u)
     when d = 0), per realization on the torus sized for max(u) and normalizes
-    by area * 2*pi*u * 2h; the standard error comes from the spread across
-    realizations.
+    by area * 2*pi*u * 2h; the standard error is the spread of the counts
+    across realizations, normalized after (squared densities can underflow).
     """
     _check_count(n_realizations, 2, "n_realizations")
     seed = _check_seed(seed)
@@ -232,12 +232,11 @@ def pair_density_empirical(params: MhcParams, upsilons, n_realizations: int,
     reach = float(np.abs(edges).max())
     # a pair is in a bin when lower edge^2 < distance^2 <= upper edge^2
     edges2 = edges * edges
-    per_real = np.empty((n_realizations, len(ups)))
+    counts = np.empty((n_realizations, len(ups)))  # ordered pairs per realization and bin
     for i, (_, pts) in enumerate(_realizations(params, window, n_realizations, seed)):
         d2 = np.sort(_close_pairs(pts, reach, window)[2])
         cum = np.searchsorted(d2, edges2, side="right")
-        counts = 2 * (cum[len(ups):] - cum[:len(ups)])  # ordered pairs per bin
-        per_real[i] = counts / norm
-    density = per_real.mean(axis=0)
-    se = per_real.std(axis=0, ddof=1) / math.sqrt(n_realizations)
+        counts[i] = 2 * (cum[len(ups):] - cum[:len(ups)])
+    density = (counts / norm).mean(axis=0)
+    se = counts.std(axis=0, ddof=1) / norm / math.sqrt(n_realizations)
     return PairDensityEstimate(ups, density, se)

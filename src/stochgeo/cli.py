@@ -316,8 +316,8 @@ def _cmd_simulate(args) -> int:
                      window=args.window, edge=args.edge, margin=args.margin,
                      alpha=ch.alpha, sigma2=ch.sigma2, p_t=ch.p_t,
                      beta_db=args.beta_db, trials=trials, seed=seed)
-    curves = [coverage.simulate_coverage(_build_source(p, args), ch, beta_db, trials, seed,
-                                         threads=args.threads) for p in parsed]
+    curves = coverage.simulate_curves([_build_source(p, args) for p in parsed], ch, beta_db,
+                                      trials, seed, threads=args.threads)
     _emit(args.out, io.curves_csv_text(curves, config))
     return 0
 

@@ -14,7 +14,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -197,43 +197,64 @@ def simulate_coverage(source, ch: ChannelParams, beta_db: Sequence[float],
     never more than the CPU count). Results are reproducible for a given seed
     regardless of threads.
     """
+    curve = simulate_curves([source], ch, beta_db, n_trials, seed, threads)[0]
+    return replace(curve, label=label) if label else curve
+
+
+def simulate_curves(sources: Sequence, ch: ChannelParams, beta_db: Sequence[float],
+                    n_trials: int, seed: int, threads: int = 0) -> list[CoverageCurve]:
+    """simulate_coverage for several sources, each curve as if run alone.
+
+    All sources' trial chunks share one process pool, and a failed chunk
+    cancels the chunks still queued. With several sources, each warning
+    starts with its source's label.
+    """
+    sources = list(sources)
+    if not sources:
+        raise ParameterError("sources must be nonempty")
     _check_run(n_trials, threads)
     seed = _check_seed(seed)
     beta_db = threshold_grid(beta_db)
     beta_lin = beta_db_to_linear(beta_db)
-
-    density = source.mean_density
-    min_side = MIN_WINDOW_SPACINGS / math.sqrt(density) if density > 0 else 0.0
-    if min(source.window.width, source.window.height) < min_side:
-        warnings.warn(f"window {source.window.width:g}x{source.window.height:g} is "
-                      f"narrower than {min_side:.1f} km ({MIN_WINDOW_SPACINGS:g} mean "
-                      "spacings); interference truncation bias may exceed Monte Carlo "
-                      "noise", stacklevel=2)
+    tags = [f"{source.label}: " if len(sources) > 1 else "" for source in sources]
+    for source, tag in zip(sources, tags):
+        w, h, density = source.window.width, source.window.height, source.mean_density
+        min_side = MIN_WINDOW_SPACINGS / math.sqrt(density) if density > 0 else 0.0
+        if min(w, h) < min_side:
+            warnings.warn(f"{tag}window {w:g}x{h:g} is narrower than {min_side:.1f} km "
+                          f"({MIN_WINDOW_SPACINGS:g} mean spacings); interference "
+                          "truncation bias may exceed Monte Carlo noise", stacklevel=2)
 
     cpus = os.cpu_count() or 1
     workers = min(threads or cpus, cpus)
-    if workers > 1 and n_trials >= 2000:
-        n_chunks = min(workers * 4, n_trials // 500)
-        edges = np.linspace(0, n_trials, n_chunks + 1, dtype=int)
-        with ProcessPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
-            futures = [pool.submit(_count_chunk, source, ch, beta_lin, seed, lo, hi)
-                       for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
+    n_chunks = min(workers * 4, n_trials // 500) if workers > 1 and n_trials >= 2000 else 1
+    edges = np.linspace(0, n_trials, n_chunks + 1, dtype=int).tolist()
+    jobs = [(source, ch, beta_lin, seed, lo, hi)
+            for source in sources for lo, hi in zip(edges[:-1], edges[1:])]
+    if n_chunks > 1:
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(jobs)))
+        try:
+            futures = [pool.submit(_count_chunk, *job) for job in jobs]
             chunks = [fut.result() for fut in futures]
+        finally:
+            pool.shutdown(cancel_futures=True)  # after a failure, run no queued chunk
     else:
-        chunks = [_count_chunk(source, ch, beta_lin, seed, 0, n_trials)]
-    counts, clamped, empty = (sum(part) for part in zip(*chunks))
+        chunks = [_count_chunk(*job) for job in jobs]
 
-    if empty == n_trials:
-        raise DataError("deployment has no stations")
-    if clamped:
-        warnings.warn(f"{clamped} of {n_trials} trials hit the {R_MIN_KM:g} km "
-                      "serving-distance clamp", stacklevel=2)
-    if empty:
-        warnings.warn(f"{empty} of {n_trials} trials drew no stations; counted as outage",
-                      stacklevel=2)
-    p = counts / n_trials
-    se = np.sqrt(p * (1.0 - p) / n_trials)
-    return CoverageCurve(beta_db, p, se, label or source.label)
+    curves = []
+    for i, (source, tag) in enumerate(zip(sources, tags)):
+        counts, clamped, empty = map(sum, zip(*chunks[i * n_chunks:(i + 1) * n_chunks]))
+        if empty == n_trials:
+            raise DataError(f"{tag}deployment has no stations")
+        if clamped:
+            warnings.warn(f"{tag}{clamped} of {n_trials} trials hit the {R_MIN_KM:g} km "
+                          "serving-distance clamp", stacklevel=2)
+        if empty:
+            warnings.warn(f"{tag}{empty} of {n_trials} trials drew no stations; counted "
+                          "as outage", stacklevel=2)
+        p = counts / n_trials
+        curves.append(CoverageCurve(beta_db, p, np.sqrt(p * (1.0 - p) / n_trials), source.label))
+    return curves
 
 
 def _check_run(n_trials: int, threads: int) -> None:
@@ -254,21 +275,16 @@ def fit_mhc(target: CoverageCurve, search: Sequence[MhcParams], ch: ChannelParam
             threads: int = 0) -> FitResult:
     """Exhaustive hardcore-parameter fit to a measured coverage curve.
 
-    Simulates every candidate on the target's threshold grid with common
-    random numbers and minimizes the mean squared vertical gap; ties break
-    toward smaller hardcore distance. Candidates run on `window` or, by
+    Simulates every candidate in one simulate_curves call, on the target's
+    threshold grid with common random numbers, and minimizes the mean squared
+    vertical gap; ties break toward smaller hardcore distance. Candidates run on `window` or, by
     default, on a torus sized to each candidate's retained density.
     """
     candidates = list(search)
-    if not candidates:
-        raise ParameterError("search grid must be nonempty")
-    _check_run(n_trials, threads)
-    table = []
-    for cand in candidates:
-        win = window if window is not None else default_torus(cand)
-        curve = simulate_coverage(MhcSource(cand, win), ch, target.beta_db,
-                                  n_trials, seed, threads=threads)
-        err = float(np.mean((curve.p_c - target.p_c) ** 2))
-        table.append((cand, err))
+    sources = [MhcSource(cand, window if window is not None else default_torus(cand))
+               for cand in candidates]
+    curves = simulate_curves(sources, ch, target.beta_db, n_trials, seed, threads)
+    table = [(cand, float(np.mean((curve.p_c - target.p_c) ** 2)))
+             for cand, curve in zip(candidates, curves)]
     best, err = min(table, key=lambda item: (item[1], item[0].d, item[0].lambda_p))
     return FitResult(best, err, table)

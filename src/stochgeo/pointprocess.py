@@ -414,6 +414,8 @@ def _grid_shape(n_points: int, window: Window) -> tuple[int, int]:
     """Lattice shape whose point count is closest to the request, preferring
     the aspect ratio implied by an ideal spacing of sqrt(area / n)."""
     spacing = math.sqrt(window.area / n_points)
+    if spacing == 0:
+        raise ParameterError(f"the spacing of {n_points} grid points underflows to 0")
     nx0 = window.width / spacing
     ny0 = window.height / spacing
     candidates = []

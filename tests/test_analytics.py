@@ -194,6 +194,19 @@ def test_closed_forms_are_finite_or_reject_the_parameters(lambda_p, d, ratio):
         assert np.all(np.isfinite(value))
 
 
+def test_pair_density_standard_error_survives_densities_whose_squares_underflow():
+    # rho2 is about 1e-213 here; the same process in units of d is MHC(1, 1)
+    rel = {}
+    for params in (MhcParams(1e-106, 1e53), MhcParams(1.0, 1.0)):
+        ups = np.linspace(params.d, 2 * params.d, 12)[1:-1]
+        est = pair_density_empirical(params, ups, 200, seed=3)
+        ref = second_order_density(ups, params)
+        assert np.all(est.std_err > 0) and np.all(np.isfinite(est.std_err))
+        assert np.all(np.abs(est.density - ref) <= 3 * est.std_err)
+        rel[params.d] = est.std_err / ref
+    assert np.allclose(rel[1e53], rel[1.0], rtol=1e-9)
+
+
 def test_rho2_matches_pair_counting_oracle():
     # kernel pair-density estimator, 3 sigma gate at a mid-shell separation
     params = MhcParams(1.0, 0.5)
@@ -264,19 +277,21 @@ def test_pair_density_rejects_bins_whose_area_underflows(d, ups):
 def count_neighbors_density(params, ups, n_realizations, seed):
     """pair_density_empirical's estimate from scipy's count_neighbors, which
     counts ordered pairs (self pairs included) up to each edge, on the same
-    default torus and half-width."""
+    default torus and half-width; the standard error is the spread of the
+    counts, normalized after."""
     window = default_torus(params, extent=float(ups.max()))
     halfwidth = 0.02 * params.d if params.d > 0 else 0.02 * float(ups.min())
     edges = np.concatenate([ups - halfwidth, ups + halfwidth])
     norm = window.area * 2.0 * math.pi * ups * 2.0 * halfwidth
     box = (window.width, window.height)
-    per_real = []
+    counts = []
     for _, pts in _realizations(params, window, n_realizations, seed):
         tree = cKDTree(np.remainder(pts, box), boxsize=box)
         cum = np.array([tree.count_neighbors(tree, e) for e in edges])
-        per_real.append((cum[len(ups):] - cum[:len(ups)]) / norm)
-    per_real = np.array(per_real)
-    return per_real.mean(axis=0), per_real.std(axis=0, ddof=1) / math.sqrt(n_realizations)
+        counts.append(cum[len(ups):] - cum[:len(ups)])
+    counts = np.array(counts)
+    return ((counts / norm).mean(axis=0),
+            counts.std(axis=0, ddof=1) / norm / math.sqrt(n_realizations))
 
 
 @settings(max_examples=60, deadline=None)

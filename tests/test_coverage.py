@@ -24,7 +24,7 @@ from stochgeo import (
     simulate_coverage,
 )
 from stochgeo import coverage
-from stochgeo.coverage import _count_chunk, _eval_trial_sinr
+from stochgeo.coverage import _count_chunk, _eval_trial_sinr, simulate_curves
 from stochgeo.pointprocess import MAX_TRIALS, R_MIN_KM
 
 from seed_streams import seed_sequence_rng
@@ -297,24 +297,52 @@ def test_last_trial_indices_use_the_seed_sequence_streams(key, seed):
 
 
 class InlinePool:
-    """ProcessPoolExecutor stand-in that runs each chunk in process and
-    records the pool size it was asked for."""
+    """ProcessPoolExecutor stand-in that records the pool size it was asked
+    for and runs the queued chunks in process, in submission order, when a
+    result is asked for. Like the real pool, shutdown runs the chunks still
+    queued unless cancel_futures is set."""
 
     sizes: list = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+        self.queue = []
 
     def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
+        future = InlineFuture(self)
+        self.queue.append((future, fn, args))
         return future
+
+    def run_next(self):
+        future, fn, args = self.queue.pop(0)
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        while self.queue:
+            if cancel_futures:
+                self.queue.pop(0)[0].cancel()
+            else:
+                self.run_next()
+
+
+class InlineFuture(concurrent.futures.Future):
+    def __init__(self, pool):
+        super().__init__()
+        self.pool = pool
+
+    def result(self, timeout=None):
+        while not self.done():
+            self.pool.run_next()
+        return super().result(timeout)
+
+
+def use_inline_pool(monkeypatch, cpus=2):
+    monkeypatch.setattr(coverage, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(coverage.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(InlinePool, "sizes", [])
 
 
 @pytest.mark.parametrize("threads, cpus, n_trials, workers", [
@@ -324,9 +352,7 @@ class InlinePool:
     (2, 8, 2500, 2),
 ])
 def test_pool_size_is_capped(threads, cpus, n_trials, workers, monkeypatch):
-    monkeypatch.setattr(coverage, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(coverage.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(InlinePool, "sizes", [])
+    use_inline_pool(monkeypatch, cpus)
     source = FixedSource(generate_grid(12, Window(4, 3)))
     ch = ChannelParams(alpha=4.0, sigma2=0.1)
     pooled = quiet_simulate(source, ch, [0.0, 5.0], n_trials, 5, threads=threads)
@@ -334,6 +360,81 @@ def test_pool_size_is_capped(threads, cpus, n_trials, workers, monkeypatch):
     single = quiet_simulate(source, ch, [0.0, 5.0], n_trials, 5, threads=1)
     assert np.array_equal(pooled.p_c, single.p_c)
     assert InlinePool.sizes == [workers]
+
+
+def test_several_sources_share_one_pool_and_keep_their_curves(monkeypatch):
+    use_inline_pool(monkeypatch)
+    ch = ChannelParams(alpha=4.0, sigma2=0.1)
+    sources = [FixedSource(generate_grid(12, Window(4, 3))), PppSource(1.0, Window(4, 4))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        pooled = simulate_curves(sources, ch, [0.0, 5.0], 2000, 5)
+    assert InlinePool.sizes == [2]
+    for source, curve in zip(sources, pooled):
+        alone = quiet_simulate(source, ch, [0.0, 5.0], 2000, 5, threads=1)
+        assert curve.label == source.label
+        assert np.array_equal(curve.p_c, alone.p_c)
+        assert np.array_equal(curve.std_err, alone.std_err)
+    assert InlinePool.sizes == [2]
+
+
+def test_fit_asks_for_one_pool_and_matches_the_in_process_table(monkeypatch):
+    use_inline_pool(monkeypatch)
+    ch = ChannelParams(alpha=4.0, sigma2=0.1)
+    target = CoverageCurve(np.array([0.0, 5.0]), np.array([0.5, 0.3]), None, "t")
+    search = [MhcParams(1.0, 0.2), MhcParams(2.0, 0.3), MhcParams(3.0, 0.4)]
+    pooled = quiet_fit(target, search, ch, 2000, 7, window=Window(6, 6))
+    assert InlinePool.sizes == [2]
+    single = quiet_fit(target, search, ch, 2000, 7, window=Window(6, 6), threads=1)
+    assert InlinePool.sizes == [2]
+    assert pooled == single
+
+
+def test_a_failed_chunk_cancels_the_later_sources_chunks(monkeypatch):
+    use_inline_pool(monkeypatch)
+    ran = []
+    count_chunk = coverage._count_chunk
+
+    def recording(source, *args):
+        ran.append(source.params)
+        return count_chunk(source, *args)
+
+    def draw(self, rng):
+        if self.params == search[1]:
+            raise RuntimeError("worker failed")
+        return mhc_points(self, rng)
+
+    search = [MhcParams(1.0, 0.2), MhcParams(2.0, 0.3), MhcParams(3.0, 0.4)]
+    mhc_points = MhcSource.points_for_trial
+    monkeypatch.setattr(coverage, "_count_chunk", recording)
+    monkeypatch.setattr(MhcSource, "points_for_trial", draw)
+    target = CoverageCurve(np.array([0.0]), np.array([0.5]), None, "t")
+    with pytest.raises(RuntimeError, match="worker failed"):
+        quiet_fit(target, search, ChannelParams(alpha=4.0, sigma2=0.1), 2000, 7,
+                  window=Window(6, 6))
+    assert InlinePool.sizes == [2]
+    assert ran == [search[0]] * 4 + [search[1]]  # 4 chunks a source; the rest cancelled
+
+
+def test_warnings_name_their_source_when_several_run():
+    # both PPP(0.05) sources on a 4 x 4 window draw empty trials, and the
+    # window is far narrower than 20 mean spacings
+    sources = [PppSource(0.05, Window(4, 4)), PppSource(0.06, Window(4, 4))]
+    ch = ChannelParams(alpha=4.0, sigma2=0.1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        simulate_curves(sources, ch, [0.0], 50, 1, threads=1)
+    messages = [str(w.message) for w in caught]
+    for source in sources:
+        mine = [m for m in messages if m.startswith(source.label + ": ")]
+        assert sum("is narrower than" in m for m in mine) == 1
+        assert sum("trials drew no stations; counted as outage" in m for m in mine) == 1
+    assert len(messages) == 4
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        simulate_coverage(sources[0], ch, [0.0], 50, 1, threads=1)
+    assert str(caught[0].message).startswith("window 4x4 is narrower than")
+    assert len(caught) == 2 and not any(sources[0].label in str(w.message) for w in caught)
 
 
 def test_negative_threads_and_huge_counts_rejected():

@@ -484,11 +484,24 @@ def test_cli_underflowing_retained_density_is_a_usage_error(argv, capsys):
     (["sample", "ppp", "--lambda-p", "1", "--window", "1e-300x1e-300"], "area"),
     # bins of half-width 0.02 d whose normalizing area rounds to 0
     (["validate", "rho2", "--lambda-p", "1", "--d", "1e-170"], "bin area"),
+    # the area is positive, but area / n, the squared lattice spacing, rounds to 0
+    (["sample", "grid", "--n", "1000", "--window", "1e-161x1e-161"], "spacing"),
+    (["simulate", "--source", "grid", "--n", "1000", "--window", "1e-161x1e-161",
+      "--trials", "5", "--threads", "1"], "spacing"),
 ])
 def test_cli_overflowing_or_underflowing_scale_is_a_usage_error(argv, message, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def test_cli_validate_rho2_passes_where_squared_densities_underflow(capsys):
+    # pair densities near 1e-213: their squares, and so a spread taken over
+    # densities rather than counts, underflow to 0
+    assert run(["validate", "rho2", "--lambda-p", "1e-106", "--d", "1e53", "--seed", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("PASS rho2: worst |z| = ")
+    assert all(float(row.split(",")[4]) <= 3.0 for row in lines[1:-1])
 
 
 @pytest.mark.parametrize("argv", [
@@ -694,7 +707,7 @@ def test_cli_simulate_rejects_a_deployment_path_its_source_line_cannot_hold(
     # the recorded source line splits on ',' and ';', so --config could not
     # rerun such a path: simulate refuses it before any trial runs
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli.coverage, "simulate_coverage", None)
+    monkeypatch.setattr(cli.coverage, "simulate_curves", None)
     assert run(["sample", "grid", "--n", "16", "--window", "10x10", "-o", name]) == 0
     capsys.readouterr()
     for source in (["--source", "file", "--file", name], ["--source", f"file:path={name}"]):
