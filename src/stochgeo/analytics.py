@@ -223,6 +223,9 @@ def pair_density_empirical(params: MhcParams, upsilons, n_realizations: int,
         raise ParameterError("upsilons must be > 0")
     window = default_torus(params, extent=float(ups.max()))
     h = 0.02 * params.d if params.d > 0 else 0.02 * float(ups.min())
+    # the bin areas grow with u: the last one, as a Python float, overflows without a warning
+    if not window.area * 2.0 * math.pi * float(ups[-1]) * 2.0 * h < math.inf:
+        raise ParameterError("d or upsilon is too large: the bin area overflows")
     norm = window.area * 2.0 * math.pi * ups * 2.0 * h
     if not np.all(norm > 0):
         raise ParameterError("d or upsilon is too small: the bin area underflows to 0")

@@ -15,8 +15,9 @@ psi measured from the direction of the serving station. Only the pair density
 sees the station: an interferer at (R, psi) lies upsilon = sqrt(R^2 + r^2 -
 2 R r cos psi) from it, the density varies where d <= upsilon < 2d (the near
 shell) and is flat (lambda_m^2) beyond 2d. So the far term is lambda_m times
-the Poisson integral over {R >= r}, which has a closed form
-(Andrews-Baccelli-Ganti), minus the same integral over the compact part
+the Poisson integral over {R >= r}, which has a closed form in one 2F1
+(Andrews-Baccelli-Ganti; summed from its Pfaff and 1/z series, A&S 15.3.5 and
+15.3.7, within 1e-14 relative), minus the same integral over the compact part
 {R >= r, upsilon < 2d}. Integrating psi out leaves one radial weight per part
 and serving distance, and each threshold costs two 1-D trapezoids over R.
 
@@ -61,6 +62,8 @@ from .pointprocess import MhcParams, _check_count, _check_seed
 RHO2_TABLE_INTERVALS = 2048
 # Most angular nodes: the Gauss-Legendre rule solves a dense n x n eigenproblem.
 MAX_N_THETA = 2048
+# Terms of each _hyp2f1 series; every term is at most 2/3 of the one before.
+HYP2F1_TERMS = 96
 
 
 class BoundKind(str, Enum):
@@ -108,20 +111,38 @@ def _kernel_from_geometry(kind: BoundKind, geom: np.ndarray, beta_linear) -> np.
     return x / (1.0 + x)
 
 
+def _hyp2f1(eps: float, beta: np.ndarray) -> np.ndarray:
+    """2F1(1, b; b+1; -beta) for b = 1 - eps in (0, 1) and beta >= 0: the Pfaff
+    series (1+beta)^-1 sum_k k!/(b+1)_k w^k, w = beta/(1+beta), up to beta = 2, and
+    beyond it the 1/z form b pi/sin(pi b) beta^-b - b sum_k (-1)^k beta^(-k-1)/(k+1-b),
+    whose first and k = 0 terms, each ~1/eps, are summed as
+    b/(eps beta) expm1(eps ln beta + ln(pi eps/sin(pi b)))."""
+    b, k = 1.0 - eps, np.arange(HYP2F1_TERMS, dtype=float)
+    out, low = np.empty_like(beta), beta <= 2.0
+    w, s = beta[low] / (1.0 + beta[low]), 1.0
+    for q in (k[1:] / (k[1:] + b))[::-1]:  # Horner: term k / term k-1 = q w
+        s = 1.0 + q * w * s
+    out[low] = s / (1.0 + beta[low])
+    x, s = beta[~low], 0.0
+    for c in (1.0 / (k + eps))[:0:-1]:  # Horner in -1/x over the terms k >= 1
+        s = c - s / x
+    # Viete: ln(pi m/sin(pi m)) = -sum_j ln cos(pi m/2^j), to the last bits as m -> 0
+    m = min(eps, b)  # sin(pi b) = sin(pi m)
+    viete = np.log1p(-2.0 * np.sin(math.pi * m / 2.0 ** np.arange(2, 34)) ** 2)
+    log_ratio = math.log(eps / m) - viete.sum()
+    out[~low] = b / x * (np.expm1(eps * np.log(x) + log_ratio) / eps + s / x)
+    return out
+
+
 def _outside_disk_integral(kind: BoundKind, r: float, beta_lin, alpha: float):
     """Integral of the kernel over {R_x >= r} at unit density, in closed form.
 
     Ratio kernel: pi r^2 * 2 beta/(alpha-2) * 2F1(1, 1-2/alpha; 2-2/alpha; -beta);
     log kernel, by parts in t = R_x^2/r^2: (alpha/2) * ratio - pi r^2 log(1+beta).
-    scipy is imported here, not with the module, so that sampling and
-    simulation never load it.
+    2F1 by _hyp2f1's Pfaff and 1/z series, within 1e-14 relative at alpha 2.0000001-1e12.
     """
-    from scipy.special import hyp2f1
-
     beta = np.asarray(beta_lin, dtype=float)
-    delta = 2.0 / alpha
-    ratio = (math.pi * r * r * 2.0 * beta / (alpha - 2.0)
-             * hyp2f1(1.0, 1.0 - delta, 2.0 - delta, -beta))
+    ratio = math.pi * r * r * 2.0 * beta / (alpha - 2.0) * _hyp2f1(2.0 / alpha, beta)
     if kind is BoundKind.PROPOSITION1:
         return ratio
     return 0.5 * alpha * ratio - math.pi * r * r * np.log1p(beta)

@@ -145,10 +145,6 @@ def curves_csv_text(curves, config: dict[str, str] | None = None,
     return "\n".join(lines) + "\n"
 
 
-def write_points_csv(path, point_set: PointSet, config: dict[str, str] | None = None):
-    Path(path).write_text(points_csv_text(point_set, config), encoding="utf-8")
-
-
 def write_curves_csv(path, curves, config: dict[str, str] | None = None,
                      gaps: dict[str, np.ndarray] | None = None):
     Path(path).write_text(curves_csv_text(curves, config, gaps), encoding="utf-8")

@@ -1,8 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import hyp2f1
 
 from stochgeo import (
     BoundKind,
@@ -20,6 +22,7 @@ from stochgeo import bounds
 from stochgeo.analytics import second_order_density
 from stochgeo.bounds import (
     _exponents,
+    _hyp2f1,
     _kernel_from_geometry,
     _outside_disk_integral,
     _pair_density_table,
@@ -201,6 +204,29 @@ def test_outside_disk_closed_form_arctan_at_alpha_4():
                        rtol=1e-12, atol=0)
 
 
+# both branches of _hyp2f1 and the switch between them at beta = 2
+HYP2F1_BETA = np.concatenate([[0.0, np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, 3.0)],
+                              np.geomspace(1e-12, 1e15, 136)])
+
+
+@pytest.mark.parametrize("alpha", [2.001, 2.05, 2.5, 3.0, 4.0, 5.5, 8.0, 12.0, 20.0])
+def test_hyp2f1_matches_scipy(alpha):
+    eps = 2.0 / alpha
+    want = hyp2f1(1.0, 1.0 - eps, 2.0 - eps, -HYP2F1_BETA)
+    assert np.max(np.abs(_hyp2f1(eps, HYP2F1_BETA) / want - 1.0)) < 1e-13
+
+
+@pytest.mark.parametrize("alpha", [2.0000001, 2.5, 7.0, 1e2, 1e3, 1e4, 1e6, 1e8, 1e12])
+def test_hyp2f1_matches_mpmath(alpha):
+    # at large alpha the 1/z form's two leading terms, each ~1/eps, nearly
+    # cancel; scipy is off there by up to 4e-5 (at alpha = 1e12)
+    eps = 2.0 / alpha
+    with mpmath.workdps(40):
+        b = 1 - 2 / mpmath.mpf(alpha)
+        want = np.array([float(mpmath.hyp2f1(1, b, b + 1, -mpmath.mpf(x))) for x in HYP2F1_BETA])
+    assert np.max(np.abs(_hyp2f1(eps, HYP2F1_BETA) / want - 1.0)) < 1e-13
+
+
 def test_exponent_empty_shell_when_cutoff_covers_it():
     # large r: interferers nearer the user than the station can never sit in
     # the station's shell, but those behind it can; the shell contribution is
@@ -322,6 +348,19 @@ def test_bound_monotone_in_threshold():
     curve = coverage_bound(BoundKind.PROPOSITION1, CH4, MhcParams(3.0, 0.5),
                            np.arange(-10.0, 31.0, 5.0))
     assert np.all(np.diff(curve.p_c) < 0)
+
+
+@pytest.mark.parametrize("kind", list(BoundKind))
+@pytest.mark.parametrize("lambda_p,d,alpha", [(3.0, 0.5, 4.0), (1.0, 0.3, 2.5), (1.0, 0.0, 6.0)])
+def test_bound_without_noise_is_unchanged_when_the_plane_is_rescaled(kind, lambda_p, d, alpha):
+    # at sigma2 = 0 coverage depends on distances only through their ratios:
+    # (lambda_p, d) -> (lambda_p / s^2, d s) scales every length by s
+    ch = ChannelParams(alpha=alpha, sigma2=0.0)
+    beta_db = [-10.0, 0.0, 10.0, 30.0]
+    want = coverage_bound(kind, ch, MhcParams(lambda_p, d), beta_db).p_c
+    for s in (1e-3, 10.0, 1e3):
+        got = coverage_bound(kind, ch, MhcParams(lambda_p / s ** 2, d * s), beta_db).p_c
+        assert np.max(np.abs(got / want - 1.0)) < 1e-9
 
 
 def test_bound_ppp_limit_closed_form():

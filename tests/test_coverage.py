@@ -546,7 +546,7 @@ def test_loaded_deployment_sits_between_ppp_and_grid(tmp_path):
     # in for real coordinates) should land between the Poisson and lattice
     # extremes at matched density
     from stochgeo import load_deployment, mhc_density
-    from stochgeo.io import write_points_csv
+    from stochgeo.io import points_csv_text
 
     params = MhcParams(2.0, 0.4)
     lam = mhc_density(params)
@@ -560,7 +560,7 @@ def test_loaded_deployment_sits_between_ppp_and_grid(tmp_path):
     jittered = np.remainder(lattice + rng.uniform(-0.3 * s, 0.3 * s,
                                                   lattice.shape), 18.0)
     path = tmp_path / "deploy.csv"
-    write_points_csv(path, PointSet(jittered, win, "survey"))
+    path.write_text(points_csv_text(PointSet(jittered, win, "survey")), encoding="utf-8")
     deploy = load_deployment(path, win)
 
     ch = ChannelParams(alpha=4.0, sigma2=0.1)

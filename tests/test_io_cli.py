@@ -534,6 +534,9 @@ def test_cli_bound_bad_quad_scale_is_a_usage_error(factor, capsys):
     ["bound", "--lambda-p", "3", "--d", "0.5", "--r-max", "1e200"],
     # squared distances across this window would overflow
     ["simulate", "--source", "grid:n=4", "--window", "1e200x1e200", "--trials", "10"],
+    # the rho2 bin areas, torus area * 2 pi u * 2h, would overflow
+    ["validate", "rho2", "--lambda-p", "1", "--d", "1e100"],
+    ["validate", "rho2", "--lambda-p", "1e-300", "--d", "1e8"],
 ])
 def test_cli_usage_error_is_one_error_line(argv, capsys):
     assert run(argv) == 2
