@@ -1,8 +1,11 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import hyp2f1
 
@@ -26,6 +29,7 @@ from stochgeo.bounds import (
     _kernel_from_geometry,
     _outside_disk_integral,
     _pair_density_table,
+    _read_pair_density,
 )
 from stochgeo.pointprocess import mhc_realization
 
@@ -407,9 +411,44 @@ def test_bound_at_tiny_hardcore_distance_is_finite_and_the_zero_distance_one(kin
 def test_pair_density_table_matches_closed_form(lambda_p, d):
     params = MhcParams(lambda_p, d)
     ups = np.random.default_rng(5).uniform(d, 2.0 * d, 100_000)
-    table = np.interp(ups * ups, *_pair_density_table(params))
+    got = ups * ups
+    _read_pair_density(_pair_density_table(params), d, got, np.empty(ups.shape, np.intp))
     exact = second_order_density(ups, params)
-    assert np.max(np.abs(table - exact)) <= 1e-6 * mhc_density(params) ** 2
+    assert np.max(np.abs(got - exact)) <= 1e-6 * mhc_density(params) ** 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(lambda_p=st.one_of(st.floats(1e-3, 1e3), st.floats(1e-100, 1e100)),
+       d=st.one_of(st.floats(1e-3, 10.0), st.floats(1e-150, 1e50)),
+       u=st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=64))
+@example(lambda_p=10.0, d=0.5, u=[-0.5, 0.0, 1.0 / 4096, 0.5, 1.0 - 1.0 / 4096, 1.0, 1.5])
+@example(lambda_p=1.0, d=1.3e-154, u=[-0.5, 0.0, 0.25, 1.0, 1.5])
+def test_pair_density_reader_matches_np_interp(lambda_p, d, u):
+    # u is the position across the band in units of its width 3d^2; u < 0 and
+    # u > 1 lie below d^2 and above 4d^2, where both hold the end values
+    params = MhcParams(lambda_p, d)
+    table = _pair_density_table(params)
+    ups2 = d * d * (1.0 + 3.0 * np.array(u))
+    want = np.interp(ups2, np.linspace(d * d, 4.0 * d * d, bounds.RHO2_TABLE_INTERVALS + 1),
+                     table[0])
+    _read_pair_density(table, d, ups2, np.empty(ups2.shape, np.intp))
+    assert np.max(np.abs(ups2 - want)) <= 1e-15 * mhc_density(params) ** 2
+
+
+@pytest.mark.parametrize("lambda_p", [1e-100, 1.0, 1e100])
+@pytest.mark.parametrize("d", [0.0, 1e-160, 1.3e-154, 1e-153, 1e-150, 1e-60, 1e-3, 0.5])
+def test_bound_at_extreme_scales_is_a_coverage_or_a_parameter_error(lambda_p, d):
+    # band widths 3d^2 of 0, subnormal and just normal, and serving distances
+    # up to 1e50 km: the pair-density table is read without overflow or 0/0
+    ch = ChannelParams(alpha=4.0, sigma2=0.0)
+    for kind in BoundKind:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                p_c = coverage_bound(kind, ch, MhcParams(lambda_p, d), [0.0, 10.0]).p_c
+            except ParameterError:
+                continue
+        assert np.all(np.isfinite(p_c) & (p_c >= 0.0) & (p_c <= 1.0))
 
 
 def test_pgfl_exact_at_zero_threshold():
