@@ -18,6 +18,7 @@ from .bounds import (
     BoundKind,
     QuadConfig,
     coverage_bound,
+    coverage_bounds,
     interference_exponent,
     pgfl_bound_check,
 )
@@ -59,6 +60,7 @@ __all__ = [
     "Window",
     "beta_db_to_linear",
     "coverage_bound",
+    "coverage_bounds",
     "default_torus",
     "disc_union_area",
     "empty_space_cdf",

@@ -129,9 +129,9 @@ OPTIONS = {opt.flag.split()[-1].lstrip("-").replace("-", "_"): opt for opt in [
     Option("--seed", "seed", int, help="RNG seed (default: $STOCHGEO_SEED or 0)"),
     Option("--kind", "kind", lambda v: v if v == "both" else bounds.BoundKind(v).value,
            "both", extra=dict(choices=["theorem1", "proposition1", "both"])),
-    Option("--n-r", "n_r", int, 128),
-    Option("--n-theta", "n_theta", int, 32),
-    Option("--n-upsilon", "n_upsilon", int, 256),
+    Option("--n-r", "n_r", int, bounds.QuadConfig.n_r),
+    Option("--n-theta", "n_theta", int, bounds.QuadConfig.n_theta),
+    Option("--n-upsilon", "n_upsilon", int, bounds.QuadConfig.n_upsilon),
     Option("--with-sim", "with_sim", int, 0, "also simulate the process and report the gap",
            dict(action="store_true")),
     Option("--threads", None, int, 0, "worker cap (0 = auto)"),
@@ -341,7 +341,7 @@ def _cmd_bound(args) -> int:
         trials = args.trials
         coverage._check_run(trials, args.threads)
 
-    curves = [bounds.coverage_bound(k, ch, params, beta_db, quad) for k in kinds]
+    curves = bounds.coverage_bounds(kinds, ch, params, beta_db, quad)
 
     gaps = None
     if with_sim:

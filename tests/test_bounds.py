@@ -17,6 +17,7 @@ from stochgeo import (
     QuadConfig,
     Window,
     coverage_bound,
+    coverage_bounds,
     interference_exponent,
     mhc_density,
     pgfl_bound_check,
@@ -62,6 +63,13 @@ def test_quadconfig_caps_n_theta_before_any_node_is_built(monkeypatch):
     with pytest.raises(ParameterError, match="n_theta"):
         QuadConfig(n_theta=bounds.MAX_N_THETA + 1)
     assert QuadConfig(n_theta=bounds.MAX_N_THETA).n_theta == bounds.MAX_N_THETA
+
+
+def test_angular_rule_is_built_once_and_read_only():
+    t, w = bounds._angular_rule(16)
+    assert bounds._angular_rule(16)[0] is t
+    assert not (t.flags.writeable or w.flags.writeable)
+    assert w.sum() == pytest.approx(2.0, rel=1e-14) and 0.0 < t.min() < t.max() < 1.0
 
 
 def test_kernel_reference_values():
@@ -248,8 +256,8 @@ def test_exponent_node_sweep_far_nonnegative_and_kinds_ordered():
     params = MhcParams(3.0, 0.5)
     betas = 10.0 ** (np.arange(-10.0, 31.0, 5.0) / 10.0)
     r = np.geomspace(1e-3, 3.0, 40)
-    (th1_near, th1_far), (prop1_near, prop1_far) = (
-        _exponents(kind, r, betas, CH4, params, QuadConfig()) for kind in BoundKind)
+    (th1_near, th1_far), (prop1_near, prop1_far) = _exponents(
+        list(BoundKind), r, betas, CH4, params, QuadConfig())
     bad = (th1_far < 0) | (prop1_far < 0) | (th1_near + th1_far < prop1_near + prop1_far)
     assert [(float(r[j]), float(betas[i])) for i, j in zip(*np.nonzero(bad))] == []
 
@@ -261,7 +269,7 @@ def test_exponents_over_r_match_the_single_r_exponent(kind, d):
     params = MhcParams(3.0, d)
     r = np.array([0.1, 0.3, 0.7, 2.0])
     betas = np.array([0.1, 1.0, 100.0])
-    near, far = _exponents(kind, r, betas, CH4, params, QuadConfig())
+    [(near, far)] = _exponents([kind], r, betas, CH4, params, QuadConfig())
     assert near.shape == far.shape == (betas.size, r.size)
     for i, beta in enumerate(betas):
         for j, rj in enumerate(r):
@@ -273,8 +281,8 @@ def test_exponents_over_r_match_the_single_r_exponent(kind, d):
 def test_exponent_alpha_at_most_2_rejected():
     with pytest.raises(ParameterError):
         ChannelParams(alpha=2.0, sigma2=0.1)
-    near, far = _exponents(BoundKind.THEOREM1, np.array([0.5]), np.array([1.0]), CH4,
-                           MhcParams(1.0, 0.1), QuadConfig())
+    [(near, far)] = _exponents([BoundKind.THEOREM1], np.array([0.5]), np.array([1.0]), CH4,
+                               MhcParams(1.0, 0.1), QuadConfig())
     assert near[0, 0] > 0 and far[0, 0] > 0
 
 
@@ -292,16 +300,17 @@ ANGULAR_BETA_DB = np.arange(-10.0, 21.0, 5.0)
 
 @pytest.mark.parametrize("lambda_p,d", ANGULAR_CASES)
 def test_bound_angular_rule_is_converged(lambda_p, d):
-    # 32 Gauss-Legendre nodes against 512 on the same R and r grids: the
-    # measured gap is about 5e-11 relative
+    # the 16 default Gauss-Legendre nodes against 512 on the same R and r
+    # grids: the measured gap is at most 1.3e-9 relative
     params = MhcParams(lambda_p, d)
     worst = 0.0
     for alpha in (2.5, 4.0, 6.0):
         ch = ChannelParams(alpha=alpha, sigma2=0.1)
-        for kind in BoundKind:
-            got = coverage_bound(kind, ch, params, ANGULAR_BETA_DB).p_c
-            ref = coverage_bound(kind, ch, params, ANGULAR_BETA_DB, QuadConfig(n_theta=512)).p_c
-            worst = max(worst, float(np.max(np.abs(got - ref) / ref)))
+        got = coverage_bounds(list(BoundKind), ch, params, ANGULAR_BETA_DB)
+        ref = coverage_bounds(list(BoundKind), ch, params, ANGULAR_BETA_DB,
+                              QuadConfig(n_theta=512))
+        for g, r in zip(got, ref):
+            worst = max(worst, float(np.max(np.abs(g.p_c - r.p_c) / r.p_c)))
     assert worst <= 1e-8
 
 
@@ -310,16 +319,28 @@ def test_bound_angular_rule_matches_the_trapezoid_rule(lambda_p, d, monkeypatch)
     # at the default grids the 256-node trapezoid was off by up to about
     # 1.8e-7 relative; the Gauss-Legendre curves stay that close to it
     params = MhcParams(lambda_p, d)
-    new, old = {}, {}
-    for alpha in (2.5, 4.0, 6.0):
-        ch = ChannelParams(alpha=alpha, sigma2=0.1)
-        for kind in BoundKind:
-            new[alpha, kind] = coverage_bound(kind, ch, params, ANGULAR_BETA_DB).p_c
+    alphas = (2.5, 4.0, 6.0)
+    new = {alpha: coverage_bounds(list(BoundKind), ChannelParams(alpha=alpha, sigma2=0.1),
+                                  params, ANGULAR_BETA_DB) for alpha in alphas}
     monkeypatch.setattr(bounds, "_angular_rule", trapezoid_rule)
-    for (alpha, kind), got in new.items():
-        ch = ChannelParams(alpha=alpha, sigma2=0.1)
-        ref = coverage_bound(kind, ch, params, ANGULAR_BETA_DB, QuadConfig(n_theta=256)).p_c
-        assert np.max(np.abs(got - ref) / ref) <= 2e-7
+    for alpha in alphas:
+        ref = coverage_bounds(list(BoundKind), ChannelParams(alpha=alpha, sigma2=0.1), params,
+                              ANGULAR_BETA_DB, QuadConfig(n_theta=256))
+        for got, want in zip(new[alpha], ref):
+            assert np.max(np.abs(got.p_c - want.p_c) / want.p_c) <= 2e-7
+
+
+@pytest.mark.parametrize("sigma2", [0.0, 0.1])
+@pytest.mark.parametrize("lambda_p,d", [(3.0, 0.5), (1.0, 0.0)])
+def test_coverage_bounds_equal_one_call_per_kind(lambda_p, d, sigma2):
+    # the kinds share their weights and nothing else: bit for bit the same curves
+    ch, params = ChannelParams(alpha=4.0, sigma2=sigma2), MhcParams(lambda_p, d)
+    beta_db = np.arange(-10.0, 31.0, 5.0)
+    curves = coverage_bounds(list(BoundKind), ch, params, beta_db)
+    assert [c.label for c in curves] == [kind.value for kind in BoundKind]
+    for kind, curve in zip(BoundKind, curves):
+        one = coverage_bound(kind, ch, params, beta_db)
+        assert np.array_equal(curve.p_c, one.p_c) and np.array_equal(curve.beta_db, one.beta_db)
 
 
 def test_bound_rejects_bad_grid_before_quadrature(monkeypatch):

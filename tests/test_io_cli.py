@@ -786,7 +786,7 @@ def test_cli_validate_ks_tol_must_be_finite_and_positive(tol, capsys):
     (MemoryError(), "MemoryError"),
 ])
 @pytest.mark.parametrize("module, name, argv", [
-    ("bounds", "coverage_bound", ["bound", "--lambda-p", "3", "--d", "0.5", "--beta-db", "10",
+    ("bounds", "coverage_bounds", ["bound", "--lambda-p", "3", "--d", "0.5", "--beta-db", "10",
                                   "--kind", "theorem1"]),
     ("analytics", "empty_space_ks", ["validate", "empty-space", "--lambda-p", "1",
                                      "--d", "0.5"]),
