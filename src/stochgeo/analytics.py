@@ -17,13 +17,12 @@ import numpy as np
 from .errors import ParameterError
 from .pointprocess import (
     MhcParams,
+    MhcSource,
     Window,
     _check_count,
     _check_seed,
     _close_pairs,
-    _rng_from_state,
-    _stream_states,
-    mhc_realization,
+    _realizations,
 )
 
 # Minimum side of a study window, in mean station spacings: below it the
@@ -140,16 +139,6 @@ def default_torus(params: MhcParams, extent: float = 0.0) -> Window:
     return Window(side, side)
 
 
-def _realizations(params: MhcParams, window: Window, n_realizations: int, seed: int):
-    """The validators' seeded realization loop: for i in range(n_realizations),
-    the generator of stream (seed, i) after its hardcore draw, so callers keep
-    drawing from it, and the retained points (no window filter)."""
-    for words in _stream_states(seed, 0, n_realizations):
-        rng = _rng_from_state(words)
-        parents, _, keep = mhc_realization(rng, params, window)
-        yield rng, parents[keep]
-
-
 def void_probability_empirical(params: MhcParams, r: float, n_realizations: int,
                                seed: int) -> VoidEstimate:
     """Monte Carlo estimate of P[no retained point within distance r of a
@@ -161,22 +150,21 @@ def void_probability_empirical(params: MhcParams, r: float, n_realizations: int,
     if n_realizations < 30:
         warnings.warn(f"void probability from only {n_realizations} realizations; "
                       "standard error is unreliable", stacklevel=2)
-    samples = nearest_distance_samples(params, n_realizations, seed,
-                                       default_torus(params, extent=r))
+    samples = nearest_distance_samples(params, n_realizations, seed, extent=r)
     p = np.count_nonzero(samples > r) / n_realizations
     se = math.sqrt(p * (1.0 - p) / n_realizations)
     return VoidEstimate(p, se)
 
 
 def nearest_distance_samples(params: MhcParams, n_realizations: int, seed: int,
-                             window: Window | None = None) -> np.ndarray:
+                             extent: float = 0.0) -> np.ndarray:
     """Distance from one uniform test location to the nearest retained point,
-    sampled across independent realizations."""
+    sampled across independent realizations on the torus sized for `extent`."""
     _check_count(n_realizations, 1, "n_realizations")
     seed = _check_seed(seed)
-    window = window or default_torus(params)
+    window = default_torus(params, extent)
     out = np.empty(n_realizations)
-    for i, (rng, pts) in enumerate(_realizations(params, window, n_realizations, seed)):
+    for i, (rng, pts) in enumerate(_realizations(MhcSource(params, window), n_realizations, seed)):
         loc = rng.uniform(0.0, 1.0, 2) * (window.width, window.height)
         out[i] = window.distances(loc, pts).min() if len(pts) else math.inf
     return out
@@ -236,7 +224,7 @@ def pair_density_empirical(params: MhcParams, upsilons, n_realizations: int,
     # a pair is in a bin when lower edge^2 < distance^2 <= upper edge^2
     edges2 = edges * edges
     counts = np.empty((n_realizations, len(ups)))  # ordered pairs per realization and bin
-    for i, (_, pts) in enumerate(_realizations(params, window, n_realizations, seed)):
+    for i, (_, pts) in enumerate(_realizations(MhcSource(params, window), n_realizations, seed)):
         d2 = np.sort(_close_pairs(pts, reach, window)[2])
         cum = np.searchsorted(d2, edges2, side="right")
         counts[i] = 2 * (cum[len(ups):] - cum[:len(ups)])

@@ -48,16 +48,10 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .analytics import (
-    _realizations,
-    default_torus,
-    empty_space_pdf,
-    mhc_density,
-    second_order_density,
-)
+from .analytics import default_torus, empty_space_pdf, mhc_density, second_order_density
 from .coverage import ChannelParams, CoverageCurve, beta_db_to_linear, threshold_grid
 from .errors import DataError, ParameterError
-from .pointprocess import MhcParams, _check_count, _check_seed
+from .pointprocess import R_MIN_KM, MhcParams, MhcSource, _check_count, _check_seed, _realizations
 
 # Intervals of the pair-density table over the band d^2 <= upsilon^2 <= 4d^2.
 RHO2_TABLE_INTERVALS = 2048
@@ -105,11 +99,11 @@ class ExponentResult(NamedTuple):
 def _kernel_from_geometry(kind: BoundKind, geom: np.ndarray, beta_linear) -> np.ndarray:
     """Per-interferer kernel at geom = (r/R)^alpha: log(1+x) for theorem1 and
     x/(1+x) for proposition1, with x = beta * geom; the ratio kernel never
-    exceeds the log kernel."""
+    exceeds the log kernel. At x = inf each kernel takes its limit (inf, 1)."""
     x = beta_linear * geom
     if kind is BoundKind.THEOREM1:
         return np.log1p(x)
-    return x / (1.0 + x)
+    return np.divide(x, 1.0 + x, out=np.ones_like(x), where=x < math.inf)
 
 
 def _hyp2f1(eps: float, beta: np.ndarray) -> np.ndarray:
@@ -288,6 +282,8 @@ def coverage_bound(kind: BoundKind, ch: ChannelParams, params: MhcParams,
     return coverage_bounds([kind], ch, params, beta_db, quad)[0]
 
 
+# a noise or interference exponent past the floats is inf: exp(-inf) = 0 is its limit
+@np.errstate(over="ignore")
 def coverage_bounds(kinds: Sequence[BoundKind], ch: ChannelParams, params: MhcParams,
                     beta_db: Sequence[float],
                     quad: QuadConfig | None = None) -> list[CoverageCurve]:
@@ -306,8 +302,12 @@ def coverage_bounds(kinds: Sequence[BoundKind], ch: ChannelParams, params: MhcPa
     # r_max^alpha (noise) and (r_max + 2d)^2 + r_max^2 (exponents) are finite when
     # (r_max + 2d)^(alpha + 1) is; in logs, as a float ** overflows with an error
     if not (ch.alpha + 1.0) * math.log(r_max + 2.0 * params.d) < math.log(sys.float_info.max):
-        raise ParameterError(f"retained density {lam_m:g} is too small: serving "
-                             f"distances up to {r_max:g} km overflow the bound")
+        raise ParameterError(f"retained density {lam_m:g} is too small or alpha {ch.alpha:g} "
+                             f"too large: serving distances up to {r_max:g} km overflow the bound")
+    # the noise exponent's factor before r^alpha must be a float, or r = 0 gives 0 * inf
+    if not ch.gamma * float(beta_lin[-1]) * ch.sigma2 < math.inf:
+        raise ParameterError(f"the noise scale beta * sigma2 / p_t at {beta_db[-1]:g} dB is "
+                             "not a finite float: raise p_t or lower sigma2")
 
     r_grid = r_max * (np.arange(quad.n_r) / (quad.n_r - 1)) ** 2
 
@@ -330,6 +330,7 @@ class PgflCheck(NamedTuple):
     rhs_se: float
 
 
+@np.errstate(over="ignore")  # see the kernel's geometry below
 def pgfl_bound_check(params: MhcParams, ch: ChannelParams, beta_linear: float,
                      r: float, n_realizations: int, seed: int) -> PgflCheck:
     """Empirical check of the PGFL-style inequality behind the tighter bound.
@@ -352,7 +353,7 @@ def pgfl_bound_check(params: MhcParams, ch: ChannelParams, beta_linear: float,
 
     prods = np.empty(n_realizations)
     sums = np.empty(n_realizations)
-    for i, (rng, pts) in enumerate(_realizations(params, window, n_realizations, seed)):
+    for i, (rng, pts) in enumerate(_realizations(MhcSource(params, window), n_realizations, seed)):
         if len(pts) == 0:
             raise DataError("empty realization; raise lambda_p")
         idx = int(rng.integers(len(pts)))
@@ -361,8 +362,10 @@ def pgfl_bound_check(params: MhcParams, ch: ChannelParams, beta_linear: float,
                             (window.width, window.height))
         dist = window.distances(user, pts)
         dist = np.delete(dist, idx)
-        kernel = _kernel_from_geometry(BoundKind.PROPOSITION1,
-                                       (r / np.maximum(dist, 1e-9)) ** ch.alpha, beta_linear)
+        # (r/R)^alpha past the floats is held at the largest float: no finite value
+        # moves, beta = 0 still gives x = 0, and x = inf only where the kernel is 1
+        geom = np.minimum((r / np.maximum(dist, R_MIN_KM)) ** ch.alpha, sys.float_info.max)
+        kernel = _kernel_from_geometry(BoundKind.PROPOSITION1, geom, beta_linear)
         prods[i] = np.prod(1.0 - kernel)
         sums[i] = kernel.sum()
 

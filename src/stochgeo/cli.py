@@ -339,7 +339,7 @@ def _cmd_bound(args) -> int:
     if with_sim:  # check the simulation's inputs before the quadrature runs
         seed = default_seed(args.seed)
         trials = args.trials
-        coverage._check_run(trials, args.threads)
+        coverage._check_run(ch, trials, args.threads)
 
     curves = bounds.coverage_bounds(kinds, ch, params, beta_db, quad)
 

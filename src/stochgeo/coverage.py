@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -105,7 +106,14 @@ def threshold_grid(beta_db) -> np.ndarray:
 
 
 def beta_db_to_linear(beta_db) -> np.ndarray:
-    return 10.0 ** (np.asarray(beta_db, dtype=float) / 10.0)
+    """Linear thresholds 10^(beta/10), each checked to be a finite float."""
+    beta = np.asarray(beta_db, dtype=float)
+    with np.errstate(over="ignore"):
+        linear = 10.0 ** (beta / 10.0)
+    if not np.isfinite(linear).all():
+        raise ParameterError("beta_db must be finite and below about 3082.5 dB, where "
+                             "10^(beta/10) overflows")
+    return linear
 
 
 # Stations per scored block: caps a block's memory whatever the window size.
@@ -212,7 +220,7 @@ def simulate_curves(sources: Sequence, ch: ChannelParams, beta_db: Sequence[floa
     sources = list(sources)
     if not sources:
         raise ParameterError("sources must be nonempty")
-    _check_run(n_trials, threads)
+    _check_run(ch, n_trials, threads)
     seed = _check_seed(seed)
     beta_db = threshold_grid(beta_db)
     beta_lin = beta_db_to_linear(beta_db)
@@ -257,8 +265,13 @@ def simulate_curves(sources: Sequence, ch: ChannelParams, beta_db: Sequence[floa
     return curves
 
 
-def _check_run(n_trials: int, threads: int) -> None:
-    """Reject a trial count outside [1, MAX_TRIALS] and a negative worker cap."""
+def _check_run(ch: ChannelParams, n_trials: int, threads: int) -> None:
+    """Reject an alpha whose path gains overflow, a trial count outside
+    [1, MAX_TRIALS] and a negative worker cap."""
+    # a station gain is at most fade * R_MIN_KM^-alpha
+    if not ch.alpha * math.log(1.0 / R_MIN_KM) < math.log(sys.float_info.max):
+        raise ParameterError(f"alpha {ch.alpha:g} is too large: path gains up to "
+                             f"{R_MIN_KM:g} km^-alpha overflow")
     _check_count(n_trials, 1, "n_trials")
     if threads < 0:
         raise ParameterError("threads must be >= 0 (0 = auto)")

@@ -40,7 +40,6 @@ _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -173,19 +172,19 @@ def _check_count(n: int, minimum: int, name: str) -> int:
     return n
 
 
-def _hashmix(value: np.ndarray, const: int, mult: int = _MULT_A) -> tuple[np.ndarray, int]:
-    """SeedSequence's hash of uint32 words under the running constant `const`
-    (multiplier _MULT_A for pool mixing, _MULT_B for output words); also
-    returns the next constant."""
-    nxt = const * mult & _MASK32
-    value = (value ^ const) * nxt
-    return value ^ value >> 16, nxt
+def _hash_constants(init: int, mult: int, first: int, count: int) -> np.ndarray:
+    """SeedSequence's running hash constants init * mult**k mod 2**32 for k in
+    [first, first + count], as a uint32 column."""
+    return np.array([init * pow(mult, k, 1 << 32) % (1 << 32)
+                     for k in range(first, first + count + 1)], dtype=np.uint32)[:, None]
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of two uint32 words."""
-    r = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return r ^ r >> 16
+def _hash(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of row k of uint32 `words` under consts[k], advancing
+    to consts[k + 1]. Arrays, not scalars, so products wrap modulo 2**32
+    without overflow warnings."""
+    value = (words ^ consts[:-1]) * consts[1:]
+    return value ^ value >> 16
 
 
 def _stream_states(seed: int, lo: int, hi: int):
@@ -194,43 +193,28 @@ def _stream_states(seed: int, lo: int, hi: int):
     .generate_state(4, np.uint64). The spawn key makes the streams independent
     of each other and of the root.
 
-    SeedSequence's hash is fixed 32-bit arithmetic, so it runs here on uint32
-    arrays over up to STREAM_BLOCK streams at once. The entropy is the seed's
-    little-endian 32-bit words, padded with zeros to the pool size, then the
-    stream index (one word, since hi <= MAX_TRIALS). Words stay 1-D arrays
-    throughout, so products wrap modulo 2**32 without overflow warnings.
+    SeedSequence mixes the seed's w 32-bit words (padded to the pool size)
+    into its pool before the spawn key, so numpy's own SeedSequence(seed).pool
+    is every stream's pool up to that point, after 4 max(w, 4) hashes. Only
+    the rest is done here, on uint32 arrays over up to STREAM_BLOCK streams at
+    once: each pool word mixes in the hashed index word (one word, since
+    hi <= MAX_TRIALS), and eight output words are hashed from the pool.
     """
     if not 0 <= lo <= hi <= MAX_TRIALS:
         raise ParameterError(f"stream range [{lo}, {hi}) is outside [0, {MAX_TRIALS}]")
     seed = int(seed)
-    words = [np.array([seed >> shift & _MASK32], dtype=np.uint32)
-             for shift in range(0, max(seed.bit_length(), 1), 32)]
-    words += [np.zeros(1, dtype=np.uint32)] * (_POOL_SIZE - len(words))
+    pool = np.random.SeedSequence(seed).pool[:, None]
+    n_words = (max(seed.bit_length(), 1) + 31) // 32
+    mix_consts = _hash_constants(_INIT_A, _MULT_A, 4 * max(n_words, _POOL_SIZE), _POOL_SIZE)
+    out_consts = _hash_constants(_INIT_B, _MULT_B, 0, 2 * _POOL_SIZE)
     for start in range(lo, hi, STREAM_BLOCK):
-        stop = min(start + STREAM_BLOCK, hi)
-        entropy = words + [np.arange(start, stop).astype(np.uint32)]
-        # pool mixing: entropy up to the pool size, all pairs, then the rest
-        const = _INIT_A
-        pool = []
-        for word in entropy[:_POOL_SIZE]:
-            hashed, const = _hashmix(word, const)
-            pool.append(hashed)
-        for src in range(_POOL_SIZE):
-            for dst in range(_POOL_SIZE):
-                if src != dst:
-                    hashed, const = _hashmix(pool[src], const)
-                    pool[dst] = _mix(pool[dst], hashed)
-        for word in entropy[_POOL_SIZE:]:
-            for dst in range(_POOL_SIZE):
-                hashed, const = _hashmix(word, const)
-                pool[dst] = _mix(pool[dst], hashed)
+        index = np.arange(start, min(start + STREAM_BLOCK, hi)).astype(np.uint32)
+        mixed = _MIX_MULT_L * pool - _MIX_MULT_R * _hash(index, mix_consts)
+        mixed ^= mixed >> 16
         # generate_state(4, np.uint64): eight words cycled from the pool, paired
         # little-endian into four uint64
-        state = np.empty((stop - start, 2 * _POOL_SIZE), dtype=np.uint32)
-        const = _INIT_B
-        for k in range(2 * _POOL_SIZE):
-            state[:, k], const = _hashmix(pool[k % _POOL_SIZE], const, _MULT_B)
-        yield from state.astype("<u4").view("<u8").astype(np.uint64)
+        state = _hash(np.tile(mixed, (2, 1)), out_consts)
+        yield from np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 
 class _StreamSeed(ISeedSequence):
@@ -269,11 +253,21 @@ def ppp_points(rng: np.random.Generator, lambda_p: float, xmin: float, xmax: flo
     return xy.T
 
 
+def _realizations(source, n: int, seed: int):
+    """The seeded realization loop: for each stream i in [0, n) of `seed`, the
+    stream's generator after the source's draw, so callers keep drawing from
+    it, and source.points_for_trial of that generator."""
+    for words in _stream_states(seed, 0, n):
+        rng = _rng_from_state(words)
+        yield rng, source.points_for_trial(rng)
+
+
 def _sample(source, seed: int) -> PointSet:
-    """One seeded realization of a random source, as a PointSet."""
+    """One seeded realization of a random source, as a PointSet: the first
+    draw of _realizations."""
     seed = _check_seed(seed)
-    rng = _rng_from_state(next(_stream_states(seed, 0, 1)))
-    return PointSet(source.points_for_trial(rng), source.window, source.label, seed)
+    _, points = next(_realizations(source, 1, seed))
+    return PointSet(points, source.window, source.label, seed)
 
 
 def sample_ppp(lambda_p: float, window: Window, seed: int) -> PointSet:

@@ -10,6 +10,7 @@ from scipy.spatial import cKDTree
 
 from stochgeo import (
     MhcParams,
+    MhcSource,
     ParameterError,
     default_torus,
     disc_union_area,
@@ -23,7 +24,7 @@ from stochgeo import (
     second_order_density,
     void_probability_empirical,
 )
-from stochgeo.analytics import _realizations
+from stochgeo.pointprocess import _realizations
 
 # scalar reference values, evaluated at 30 decimal digits
 P_RETAIN_1_05 = 0.6927210905109832        # lambda_p=1, d=0.5
@@ -262,7 +263,7 @@ def test_void_probability_matches_exponential_form():
 def test_void_probability_is_share_of_nearest_distances_beyond_r():
     params, r, n = MhcParams(1.0, 0.5), 0.5, 120
     est = void_probability_empirical(params, r, n, seed=77)
-    samples = nearest_distance_samples(params, n, 77, default_torus(params, extent=r))
+    samples = nearest_distance_samples(params, n, 77, extent=r)
     assert est.probability == np.count_nonzero(samples > r) / n
 
 
@@ -285,7 +286,7 @@ def count_neighbors_density(params, ups, n_realizations, seed):
     norm = window.area * 2.0 * math.pi * ups * 2.0 * halfwidth
     box = (window.width, window.height)
     counts = []
-    for _, pts in _realizations(params, window, n_realizations, seed):
+    for _, pts in _realizations(MhcSource(params, window), n_realizations, seed):
         tree = cKDTree(np.remainder(pts, box), boxsize=box)
         cum = np.array([tree.count_neighbors(tree, e) for e in edges])
         counts.append(cum[len(ups):] - cum[:len(ups)])

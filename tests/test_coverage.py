@@ -58,6 +58,13 @@ def test_curve_validation():
         CoverageCurve(np.array([0.0, 1.0]), np.array([0.5]), None, "x")
 
 
+def test_beta_db_to_linear_needs_a_finite_linear_value():
+    assert np.isfinite(coverage.beta_db_to_linear([-4000.0, 0.0, 3082.5])).all()
+    for bad in (3082.6, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="beta_db"):
+            coverage.beta_db_to_linear([0.0, bad])
+
+
 def sinr_draws(user, bs, ch, rng, n=1):
     """n SINR samples at one fixed user location, one _eval_trial_sinr trial
     each: nearest-station association and unit-mean Rayleigh fades on every

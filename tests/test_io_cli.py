@@ -2,7 +2,9 @@ import contextlib
 import io
 import math
 import os
+import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -488,6 +490,18 @@ def test_cli_underflowing_retained_density_is_a_usage_error(argv, capsys):
     (["sample", "grid", "--n", "1000", "--window", "1e-161x1e-161"], "spacing"),
     (["simulate", "--source", "grid", "--n", "1000", "--window", "1e-161x1e-161",
       "--trials", "5", "--threads", "1"], "spacing"),
+    # 10^(beta/10) overflows from about 3082.5 dB
+    (["simulate", "--source", "ppp", "--lambda-p", "1", "--beta-db", "4000", "--trials", "10",
+      "--threads", "1"], "beta_db"),
+    (["bound", "--lambda-p", "3", "--d", "0.5", "--beta-db", "4000"], "beta_db"),
+    (["validate", "pgfl-bound", "--lambda-p", "1", "--d", "0.3", "--r", "0.3",
+      "--beta-db", "4000"], "beta_db"),
+    # station gains up to R_MIN_KM^-alpha, and (r_max + 2d)^(alpha + 1), overflow
+    (["simulate", "--source", "ppp", "--lambda-p", "1", "--alpha", "700", "--beta-db", "0",
+      "--trials", "10", "--threads", "1"], "alpha 700"),
+    (["bound", "--lambda-p", "3", "--d", "0.5", "--alpha", "600"], "alpha 600"),
+    (["bound", "--lambda-p", "3", "--d", "0.5", "--alpha", "52", "--with-sim", "--trials", "10"],
+     "alpha 52"),
 ])
 def test_cli_overflowing_or_underflowing_scale_is_a_usage_error(argv, message, capsys):
     assert run(argv) == 2
@@ -856,3 +870,41 @@ def test_cli_fuzzed_argument_lists_exit_0_1_or_2(argv):
     assert code in (0, 1, 2)
     if code == 2:  # usage and parameter errors alike: one line
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+# Channel extremes: alpha at and past 51.4, where R_MIN_KM^-alpha overflows;
+# thresholds at and past 3082.5 dB, where 10^(beta/10) overflows; noise and
+# transmit powers at the ends of the floats.
+CHANNEL_EXTREMES = (
+    [("--alpha", v) for v in ("2.0000001", "51", "52", "700")]
+    + [("--beta-db", v) for v in ("-4000", "3079", "3082", "3083", "4000")]
+    + [("--sigma2", v) for v in ("0", "1e-300", "1e300")]
+    + [("--p-t", v) for v in ("5e-324", "1e300")]
+)
+EXTREME_COMMANDS = {
+    "sample": ["sample", "ppp", "--lambda-p", "1", "--window", "4x4"],
+    "simulate": ["simulate", "--source", "ppp:lambda_p=1,window=10x10", "--beta-db", "0",
+                 "--trials", "10", "--threads", "1"],
+    "bound": ["bound", "--lambda-p", "3", "--d", "0.5", "--beta-db", "0", "--n-r", "16",
+              "--n-theta", "16", "--n-upsilon", "16"],
+    "validate": ["validate", "pgfl-bound", "--lambda-p", "1", "--d", "0.3", "--r", "0.3",
+                 "--realizations", "100"],
+    "fit": ["fit", "--target", str(GOLDEN_CURVE), "--lambda-p-grid", "2", "--d-grid", "0.4",
+            "--window", "10x10", "--trials", "10", "--threads", "1"],
+}
+
+
+@pytest.mark.parametrize("command", list(EXTREME_COMMANDS))
+@pytest.mark.parametrize("flag, value", CHANNEL_EXTREMES)
+def test_cli_channel_extremes_end_cleanly(command, flag, value, capsys):
+    # a subcommand without the flag ends in a usage error, like any other
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run(EXTREME_COMMANDS[command] + [f"{flag}={value}", "--seed", "1"])
+    out, err = capsys.readouterr()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not re.search(r"\bnan\b", out, re.IGNORECASE)
+    if rc == 0 or (rc == 1 and out.startswith("FAIL pgfl-bound")):
+        assert err == ""
+    else:
+        assert rc in (1, 2) and err.startswith("error: ") and err.count("\n") == 1

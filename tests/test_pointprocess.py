@@ -507,11 +507,15 @@ def test_pointset_rejects_outside_points():
 
 
 @settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2 ** 128 - 1), lo=st.integers(0, MAX_TRIALS),
+@given(seed=st.integers(0, 2 ** 1000 - 1), lo=st.integers(0, MAX_TRIALS),
        n=st.integers(0, 12), block=st.integers(1, 5))
 @example(seed=2 ** 32 - 1, lo=MAX_TRIALS - 5, n=5, block=4)
 @example(seed=0, lo=0, n=3, block=1)
 @example(seed=2 ** 128 - 1, lo=MAX_TRIALS - 1, n=1, block=5)
+# more than four seed words: the hash constant then depends on the word count
+@example(seed=2 ** 128, lo=0, n=5, block=2)
+@example(seed=2 ** 200 + 12345, lo=4094, n=6, block=4)
+@example(seed=2 ** 1000 - 1, lo=MAX_TRIALS - 3, n=3, block=2)
 def test_block_streams_match_seed_sequence(seed, lo, n, block):
     hi = min(lo + n, MAX_TRIALS)
     with pytest.MonkeyPatch.context() as mp:
