@@ -22,6 +22,8 @@ from .pointprocess import (
     _check_count,
     _check_seed,
     _close_pairs,
+    _mhc_parents,
+    _nearest_retained,
     _realizations,
 )
 
@@ -144,8 +146,8 @@ def void_probability_empirical(params: MhcParams, r: float, n_realizations: int,
     """Monte Carlo estimate of P[no retained point within distance r of a
     uniform test location], one test location per realization: the share of
     nearest_distance_samples beyond r, on the torus sized for r."""
-    if not r > 0:
-        raise ParameterError("r must be > 0")
+    if not 0 < r < math.inf:
+        raise ParameterError("r must be finite and > 0")
     _check_count(n_realizations, 1, "n_realizations")
     if n_realizations < 30:
         warnings.warn(f"void probability from only {n_realizations} realizations; "
@@ -159,14 +161,18 @@ def void_probability_empirical(params: MhcParams, r: float, n_realizations: int,
 def nearest_distance_samples(params: MhcParams, n_realizations: int, seed: int,
                              extent: float = 0.0) -> np.ndarray:
     """Distance from one uniform test location to the nearest retained point,
-    sampled across independent realizations on the torus sized for `extent`."""
+    sampled across independent realizations on the torus sized for `extent`.
+    A realization draws its parents and marks, then the location (the stream
+    order of MhcSource, as thinning draws nothing), and thins only the parents
+    near the location (pointprocess._nearest_retained)."""
     _check_count(n_realizations, 1, "n_realizations")
     seed = _check_seed(seed)
     window = default_torus(params, extent)
+    draws = _realizations(lambda rng: _mhc_parents(rng, params, window), n_realizations, seed)
     out = np.empty(n_realizations)
-    for i, (rng, pts) in enumerate(_realizations(MhcSource(params, window), n_realizations, seed)):
+    for i, (rng, (parents, marks)) in enumerate(draws):
         loc = rng.uniform(0.0, 1.0, 2) * (window.width, window.height)
-        out[i] = window.distances(loc, pts).min() if len(pts) else math.inf
+        out[i] = _nearest_retained(parents, marks, params.d, window, loc)
     return out
 
 
@@ -224,7 +230,8 @@ def pair_density_empirical(params: MhcParams, upsilons, n_realizations: int,
     # a pair is in a bin when lower edge^2 < distance^2 <= upper edge^2
     edges2 = edges * edges
     counts = np.empty((n_realizations, len(ups)))  # ordered pairs per realization and bin
-    for i, (_, pts) in enumerate(_realizations(MhcSource(params, window), n_realizations, seed)):
+    draws = _realizations(MhcSource(params, window).points_for_trial, n_realizations, seed)
+    for i, (_, pts) in enumerate(draws):
         d2 = np.sort(_close_pairs(pts, reach, window)[2])
         cum = np.searchsorted(d2, edges2, side="right")
         counts[i] = 2 * (cum[len(ups):] - cum[:len(ups)])

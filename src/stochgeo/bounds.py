@@ -346,14 +346,15 @@ def pgfl_bound_check(params: MhcParams, ch: ChannelParams, beta_linear: float,
     _check_count(n_realizations, 100, "n_realizations")
     if not 0 <= beta_linear < math.inf:
         raise ParameterError("beta_linear must be finite and >= 0")
-    if not r > 0:
-        raise ParameterError("r must be > 0")
+    if not 0 < r < math.inf:
+        raise ParameterError("r must be finite and > 0")
     seed = _check_seed(seed)
     window = default_torus(params, extent=r)
 
     prods = np.empty(n_realizations)
     sums = np.empty(n_realizations)
-    for i, (rng, pts) in enumerate(_realizations(MhcSource(params, window), n_realizations, seed)):
+    draws = _realizations(MhcSource(params, window).points_for_trial, n_realizations, seed)
+    for i, (rng, pts) in enumerate(draws):
         if len(pts) == 0:
             raise DataError("empty realization; raise lambda_p")
         idx = int(rng.integers(len(pts)))

@@ -397,7 +397,10 @@ def _cmd_validate(args) -> int:
         est = analytics.void_probability_empirical(params, args.r, n, seed)
         lam_m = analytics.mhc_density(params)
         ref = math.exp(-lam_m * math.pi * args.r ** 2)
-        z = abs(est.probability - ref) / est.std_error if est.std_error else math.inf
+        # a share of 0 or 1 has a binomial SE of 0: score it against the reference's own
+        se = est.std_error or math.sqrt(ref) * math.sqrt((1.0 - ref) / n)
+        gap = abs(est.probability - ref)
+        z = gap / se if se else (0.0 if gap == 0 else math.inf)
         ok = z <= 3.0
         report = (f"void: empirical={est.probability:.4f} +-{est.std_error:.4f}, "
                   f"reference={ref:.4f}, z={z:.2f}")

@@ -253,20 +253,20 @@ def ppp_points(rng: np.random.Generator, lambda_p: float, xmin: float, xmax: flo
     return xy.T
 
 
-def _realizations(source, n: int, seed: int):
+def _realizations(draw, n: int, seed: int):
     """The seeded realization loop: for each stream i in [0, n) of `seed`, the
-    stream's generator after the source's draw, so callers keep drawing from
-    it, and source.points_for_trial of that generator."""
+    stream's generator after the draw, so callers keep drawing from it, and
+    draw(generator), such as a source's points_for_trial."""
     for words in _stream_states(seed, 0, n):
         rng = _rng_from_state(words)
-        yield rng, source.points_for_trial(rng)
+        yield rng, draw(rng)
 
 
 def _sample(source, seed: int) -> PointSet:
     """One seeded realization of a random source, as a PointSet: the first
     draw of _realizations."""
     seed = _check_seed(seed)
-    _, points = next(_realizations(source, 1, seed))
+    _, points = next(_realizations(source.points_for_trial, 1, seed))
     return PointSet(points, source.window, source.label, seed)
 
 
@@ -361,6 +361,12 @@ def _close_pairs(points: np.ndarray, r: float,
     return order[i[close]], order[j[close]], dx[close]
 
 
+def _pair_loser(i, j, marks: np.ndarray) -> np.ndarray:
+    """Of each pair (i, j), the parent min-mark thinning removes: higher mark, then higher index."""
+    first, second = np.minimum(i, j), np.maximum(i, j)
+    return np.where(marks[second] >= marks[first], second, first)
+
+
 def _min_mark_thinning(points: np.ndarray, marks: np.ndarray, d: float,
                        window: Window) -> np.ndarray:
     """Keep-mask for Matern type II: a point survives iff its mark is the
@@ -369,19 +375,38 @@ def _min_mark_thinning(points: np.ndarray, marks: np.ndarray, d: float,
     keep = np.ones(len(points), dtype=bool)
     if d > 0:
         i, j, _ = _close_pairs(points, d, window)
-        first, second = np.minimum(i, j), np.maximum(i, j)
-        keep[np.where(marks[second] >= marks[first], second, first)] = False
+        keep[_pair_loser(i, j, marks)] = False
     return keep
 
 
-def mhc_realization(rng: np.random.Generator, params: MhcParams,
-                    window: Window) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One Matern hardcore realization: (parents, marks, keep mask).
+def _nearest_retained(parents: np.ndarray, marks: np.ndarray, d: float, window: Window,
+                      loc) -> float:
+    """window.distances from `loc` to the nearest parent that _min_mark_thinning
+    keeps (inf with no parents). Parents are walked nearest-first in batches of
+    8, 16, ..., each tested only against those within its distance + d of loc
+    (widened for rounding) by the close rule of _close_pairs and _pair_loser."""
+    dist = window.distances(loc, parents)
+    if d == 0 or len(dist) == 0:
+        return dist.min(initial=math.inf)
+    x, y = parents.T
+    order, lo, hi = np.argsort(dist), 0, 8
+    while True:  # the lowest mark always survives
+        cand = order[lo:hi, None]
+        reach = (dist[cand[-1, 0]] + d) * (1 + 1e-9) + 1e-12 * (window.width + window.height)
+        near = np.flatnonzero(dist <= reach)
+        dx, dy = window._fold(x[near] - x[cand], y[near] - y[cand])
+        lost = (dx * dx + dy * dy <= d * d) & (_pair_loser(cand, near, marks) != near)
+        alive = ~lost.any(axis=1)
+        if alive.any():
+            return dist[cand[alive.argmax(), 0]]
+        lo, hi = hi, 2 * hi
 
-    Parents are a PPP(lambda_p) on the window (toroidal) or on the window
-    extended by the hardcore distance on every side (guard), so that points
-    near the boundary compete against the parents that would exist beyond it.
-    """
+
+def _mhc_parents(rng: np.random.Generator, params: MhcParams, window: Window):
+    """One Matern hardcore draw before thinning: (parents, marks). Parents are
+    a PPP(lambda_p) on the window (toroidal) or on the window extended by the
+    hardcore distance on every side (guard), so that points near the boundary
+    compete against the parents that would exist beyond it."""
     d = params.d
     if window.toroidal and d >= min(window.width, window.height) / 2:
         raise ParameterError("hardcore distance d must be < half the window size "
@@ -389,8 +414,15 @@ def mhc_realization(rng: np.random.Generator, params: MhcParams,
     ext = 0.0 if window.toroidal else d
     parents = ppp_points(rng, params.lambda_p, -ext, window.width + ext,
                          -ext, window.height + ext)
-    marks = rng.random(len(parents))
-    return parents, marks, _min_mark_thinning(parents, marks, d, window)
+    return parents, rng.random(len(parents))
+
+
+def mhc_realization(rng: np.random.Generator, params: MhcParams,
+                    window: Window) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One Matern hardcore realization: (parents, marks, keep mask), the draw of
+    _mhc_parents thinned by _min_mark_thinning."""
+    parents, marks = _mhc_parents(rng, params, window)
+    return parents, marks, _min_mark_thinning(parents, marks, params.d, window)
 
 
 def sample_mhc(params: MhcParams, window: Window, seed: int) -> PointSet:

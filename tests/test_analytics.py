@@ -267,6 +267,47 @@ def test_void_probability_is_share_of_nearest_distances_beyond_r():
     assert est.probability == np.count_nonzero(samples > r) / n
 
 
+def nearest_distance_reference(params, n_realizations, seed, extent=0.0):
+    """nearest_distance_samples from every parent's thinning: per realization,
+    MhcSource's draw, then the location, then the nearest retained point."""
+    window = default_torus(params, extent)
+    out = np.empty(n_realizations)
+    for i, (rng, pts) in enumerate(
+            _realizations(MhcSource(params, window).points_for_trial, n_realizations, seed)):
+        loc = rng.uniform(0.0, 1.0, 2) * (window.width, window.height)
+        out[i] = window.distances(loc, pts).min() if len(pts) else math.inf
+    return out
+
+
+# d and the extent in parent spacings 1/sqrt(lambda_p): up to 3 spacings, where
+# lambda_p pi d^2 is about 28 and 98% of the parents are thinned away. Above
+# lambda_p = 1e3 the torus's 1 km floor would hold more than 1e3 parents.
+@settings(max_examples=60, deadline=None)
+@given(lambda_p=st.one_of(st.floats(1e-3, 1e3), st.floats(1e-100, 1e3)),
+       d_spacings=st.one_of(st.sampled_from([0.0, 1e-9]), st.floats(1e-9, 3.0)),
+       extent_spacings=st.one_of(st.just(0.0), st.floats(0.01, 10.0)),
+       n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+@example(lambda_p=2.0, d_spacings=0.3 * math.sqrt(2.0), extent_spacings=0.0, n=40, seed=3)
+@example(lambda_p=1.0, d_spacings=0.5, extent_spacings=0.5, n=40, seed=7)
+@example(lambda_p=3.0, d_spacings=0.5 * math.sqrt(3.0), extent_spacings=0.0, n=40, seed=31)
+@example(lambda_p=1.0, d_spacings=3.0, extent_spacings=0.0, n=6, seed=12)
+def test_nearest_distance_samples_match_full_thinning(lambda_p, d_spacings, extent_spacings,
+                                                      n, seed):
+    # the default torus expects at least 400 parents, so its draws are never
+    # empty; test_nearest_retained_of_no_parents_is_inf covers that case
+    spacing = 1.0 / math.sqrt(lambda_p)
+    params = MhcParams(lambda_p, d_spacings * spacing)
+    extent = extent_spacings * spacing
+    assert np.array_equal(nearest_distance_samples(params, n, seed, extent),
+                          nearest_distance_reference(params, n, seed, extent))
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, math.inf, math.nan])
+def test_void_probability_rejects_a_radius_that_is_not_finite_and_positive(r):
+    with pytest.raises(ParameterError, match="r must be finite and > 0"):
+        void_probability_empirical(MhcParams(1.0, 0.5), r, 40, seed=1)
+
+
 @pytest.mark.parametrize("d,ups", [(5e-324, [1e-323]), (1e-170, [1.5e-170]),
                                    (0.0, [1e-300, 0.5])])
 def test_pair_density_rejects_bins_whose_area_underflows(d, ups):
@@ -286,7 +327,7 @@ def count_neighbors_density(params, ups, n_realizations, seed):
     norm = window.area * 2.0 * math.pi * ups * 2.0 * halfwidth
     box = (window.width, window.height)
     counts = []
-    for _, pts in _realizations(MhcSource(params, window), n_realizations, seed):
+    for _, pts in _realizations(MhcSource(params, window).points_for_trial, n_realizations, seed):
         tree = cKDTree(np.remainder(pts, box), boxsize=box)
         cum = np.array([tree.count_neighbors(tree, e) for e in edges])
         counts.append(cum[len(ups):] - cum[:len(ups)])

@@ -493,3 +493,9 @@ def test_pgfl_requires_enough_realizations():
 def test_pgfl_rejects_non_finite_or_negative_threshold(beta_linear):
     with pytest.raises(ParameterError):
         pgfl_bound_check(MhcParams(1.0, 0.3), CH4, beta_linear, 0.3, 100, 1)
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, math.inf, math.nan])
+def test_pgfl_rejects_a_radius_that_is_not_finite_and_positive(r):
+    with pytest.raises(ParameterError, match="r must be finite and > 0"):
+        pgfl_bound_check(MhcParams(1.0, 0.3), CH4, 1.0, r, 100, 1)

@@ -551,6 +551,9 @@ def test_cli_bound_bad_quad_scale_is_a_usage_error(factor, capsys):
     # the rho2 bin areas, torus area * 2 pi u * 2h, would overflow
     ["validate", "rho2", "--lambda-p", "1", "--d", "1e100"],
     ["validate", "rho2", "--lambda-p", "1e-300", "--d", "1e8"],
+    # r must be finite: an infinite one would size an infinite torus
+    ["validate", "void", "--lambda-p", "1", "--d", "0.5", "--r", "inf"],
+    ["validate", "pgfl-bound", "--lambda-p", "1", "--d", "0.5", "--r", "inf"],
 ])
 def test_cli_usage_error_is_one_error_line(argv, capsys):
     assert run(argv) == 2
@@ -593,6 +596,17 @@ def test_cli_validate_void_passes(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "PASS void" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--lambda-p", "1", "--d", "0.5", "--r", "1e-320", "--realizations", "40"],
+    ["--lambda-p", "1e-9", "--d", "0.5", "--r", "0.5", "--realizations", "40"],
+])
+def test_cli_validate_void_scores_a_unanimous_share_against_the_reference(argv, capsys):
+    # every realization agrees, so the share's own binomial SE is 0
+    assert run(["validate", "void", *argv]) == 0
+    assert capsys.readouterr().out == ("PASS void: empirical=1.0000 +-0.0000, "
+                                       "reference=1.0000, z=0.00\n")
 
 
 def test_cli_validate_pgfl_ppp_limit(capsys):

@@ -32,6 +32,7 @@ from stochgeo.pointprocess import (
     _close_pairs,
     _grid_shape,
     _min_mark_thinning,
+    _nearest_retained,
     _rng_from_state,
     _stream_states,
     mhc_realization,
@@ -227,6 +228,65 @@ def test_mhc_parent_on_the_far_edge_wraps(monkeypatch):
     _, marks, keep = mhc_realization(seed_sequence_rng(0), MhcParams(1.0, 0.5), Window(3.0, 3.0))
     assert keep[2] and keep[:2].sum() == 1
     assert keep[int(np.argmin(marks[:2]))]
+
+
+def nearest_retained_reference(parents, marks, d, window, loc):
+    """_nearest_retained from every parent's thinning."""
+    kept = parents[_min_mark_thinning(parents, marks, d, window)]
+    return window.distances(loc, kept).min() if len(kept) else math.inf
+
+
+def assert_nearest_retained(parents, marks, d, window, loc, expected):
+    parents, marks = np.asarray(parents, dtype=float), np.asarray(marks, dtype=float)
+    got = _nearest_retained(parents, marks, d, window, np.asarray(loc, dtype=float))
+    assert got == expected == nearest_retained_reference(parents, marks, d, window, loc)
+
+
+@pytest.mark.parametrize("loc,expected", [((1.125, 1.0), 0.125), ((1.375, 1.0), 0.375)])
+def test_nearest_retained_tied_marks_keep_the_lower_index(loc, expected):
+    # rows 1 and 2 are 0.25 apart with equal marks: row 1 wins, also where row 2
+    # is nearer the location
+    assert_nearest_retained([[5.0, 5.0], [1.0, 1.0], [1.25, 1.0]], [0.1, 0.5, 0.5], 0.5,
+                            Window(10.0, 10.0), loc, expected)
+
+
+def test_nearest_retained_pair_exactly_d_apart_is_close():
+    # dx is exactly d: the higher mark loses, though it is nearer the location
+    assert_nearest_retained([[1.0, 1.0], [1.5, 1.0]], [0.2, 0.7], 0.5, Window(10.0, 10.0),
+                            (1.5, 1.25), 0.5590169943749475)
+
+
+def test_nearest_retained_nearest_parent_killed_across_the_torus_seam():
+    # rows 0 and 1 are 0.25 apart across x = 0; row 0 is nearest, row 1 wins
+    win = Window(10.0, 10.0)
+    parents = [[0.125, 5.0], [9.875, 5.0], [3.0, 5.0]]
+    expected = float(win.distances((0.375, 5.0), np.array([[9.875, 5.0]]))[0])
+    assert expected == 0.5
+    assert_nearest_retained(parents, [0.9, 0.1, 0.5], 0.5, win, (0.375, 5.0), expected)
+
+
+def test_nearest_retained_keeps_coincident_parents_at_d_zero():
+    assert_nearest_retained([[2.0, 2.0], [2.0, 2.0], [4.0, 4.0]], [0.9, 0.1, 0.5], 0.0,
+                            Window(10.0, 10.0), (2.0, 3.0), 1.0)
+
+
+def test_nearest_retained_of_no_parents_is_inf():
+    for d in (0.0, 0.5):
+        assert _nearest_retained(np.empty((0, 2)), np.empty(0), d, Window(10.0, 10.0),
+                                 np.array([1.0, 1.0])) == math.inf
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lambda_p=st.floats(0.5, 60.0), d=st.floats(0.05, 1.0),
+       edge=st.sampled_from(["toroidal", "guard"]))
+def test_nearest_retained_matches_full_thinning(seed, lambda_p, d, edge):
+    # up to lambda_p pi d^2 = 190: the walk then passes many batches of thinned parents
+    win = Window(5.0, 5.0, edge=edge)
+    rng = seed_sequence_rng(seed)
+    parents, marks, _ = mhc_realization(rng, MhcParams(lambda_p, d), win)
+    loc = rng.uniform(0.0, 5.0, 2)
+    assert (_nearest_retained(parents, marks, d, win, loc)
+            == nearest_retained_reference(parents, marks, d, win, loc))
 
 
 @st.composite
