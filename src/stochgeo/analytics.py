@@ -1,9 +1,9 @@
 """Closed-form Matern hardcore quantities and their empirical validators.
 
 Retention probability, retained density, the two-disc union area, the
-second-order product density, and the exponential approximation of the
-empty-space (nearest-station distance) distribution. All lengths in km,
-densities in km^-2; no unit conversions happen here.
+second-order product density and its pair correlation, and the exponential
+approximation of the empty-space (nearest-station distance) distribution. All
+lengths in km, densities in km^-2; no unit conversions happen here.
 """
 
 from __future__ import annotations
@@ -31,18 +31,18 @@ from .pointprocess import (
 # interference truncated by the window is no longer negligible.
 MIN_WINDOW_SPACINGS = 20.0
 
-# Below t = lambda_p pi d^2 = RHO2_SERIES_T a series in t replaces the closed
-# form of rho2, which loses a share of about eps / t to cancellation.
+# Below kappa = lambda_p pi d^2 = RHO2_SERIES_T a series in kappa replaces the closed
+# form of the pair correlation, which loses a share of about eps / kappa to cancellation.
 RHO2_SERIES_T = 1e-3
 
 
 def retention_probability(params: MhcParams) -> float:
     """Chance that a parent point survives min-mark thinning:
-    (1 - exp(-lambda_p*pi*d^2)) / (lambda_p*pi*d^2), continuous limit 1 at d=0."""
-    t = params.lambda_p * math.pi * params.d * params.d
-    if t == 0.0:
+    (1 - exp(-kappa)) / kappa with kappa = lambda_p*pi*d^2, continuous limit 1 at d=0."""
+    kappa = params.kappa
+    if kappa == 0.0:
         return 1.0
-    return -math.expm1(-t) / t
+    return -math.expm1(-kappa) / kappa
 
 
 def mhc_density(params: MhcParams) -> float:
@@ -73,39 +73,38 @@ def disc_union_area(upsilon, d: float):
     return out if u.ndim else float(out)
 
 
+def pair_correlation(ratio, kappa: float):
+    """rho2 / lambda_m^2 at separations ratio = upsilon/d in [1, 2], for kappa =
+    lambda_p pi d^2 (inf allowed): 2 (v (1 - e^-kappa) - (1 - e^-kappa v)) /
+    (v (v - 1) (1 - e^-kappa)^2), v the two-disc union area over pi d^2; 1 at
+    ratio 2 and 2/v at kappa = inf. Vectorized over `ratio`."""
+    v = disc_union_area(np.asarray(ratio, dtype=float), 1.0) / math.pi
+    if kappa < RHO2_SERIES_T:
+        # rho2 / lambda_p^2 = 2 sum_{k>=2} (-kappa)^(k-2) (1 + v + ... + v^(k-2)) / k!,
+        # divided by the retention probability squared, (lambda_m / lambda_p)^2
+        p = 1.0 if kappa == 0.0 else -math.expm1(-kappa) / kappa
+        return sum(2.0 * (-kappa) ** (k - 2) / math.factorial(k) * (v ** (k - 1) - 1.0) / (v - 1.0)
+                   for k in range(2, 9)) / (p * p)
+    a = -math.expm1(-kappa)
+    return 2.0 * (v * a + np.expm1(-kappa * v)) / (v * (v - 1.0) * a * a)
+
+
 def second_order_density(upsilon, params: MhcParams):
     """Second-order product density rho2(upsilon) of the Matern hardcore
     process, for ordered point pairs at separation `upsilon`: 0 below d,
-    lambda_m^2 at and beyond 2d, and the pair-retention expression in between.
-    Continuous at 2d. Vectorized over `upsilon`.
+    lambda_m^2 at and beyond 2d, and lambda_m^2 times pair_correlation in
+    between. Continuous at 2d. Vectorized over `upsilon`.
     """
-    u = np.asarray(upsilon, dtype=float)
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u)
-    d = params.d
-    if not params.lambda_p * params.lambda_p < math.inf:
-        raise ParameterError("lambda_p is too large: lambda_p^2 overflows")
+    u, d = np.asarray(upsilon, dtype=float), params.d
     lam_m = mhc_density(params)
+    if not lam_m * lam_m < math.inf:
+        raise ParameterError("retained density is too large: lambda_m^2 overflows")
     out = np.full(u.shape, lam_m * lam_m)
     if d > 0:
         out[u < d] = 0.0
         mid = (u >= d) & (u < 2 * d)
-        t = params.lambda_p * math.pi * d * d
-        if mid.any() and t < RHO2_SERIES_T:
-            # rho2 / lambda_p^2 = 2 sum_{k>=2} (-t)^(k-2) (1 + v + ... + v^(k-2)) / k!
-            # with v = V / (pi d^2) in [1.6, 2]: no d^2 and no cancellation
-            v = disc_union_area(u[mid] / d, 1.0) / math.pi
-            out[mid] = params.lambda_p ** 2 * sum(
-                2.0 * (-t) ** (k - 2) / math.factorial(k) * (v ** (k - 1) - 1.0) / (v - 1.0)
-                for k in range(2, 9))
-        elif mid.any():
-            # lengths in units of s = d (rho2 scales as s^-4) where d^6 leaves the floats
-            s = 1.0 if 1e-50 < d < 1e50 else d
-            V = disc_union_area(u[mid] / s, d / s)
-            pidd = math.pi * (d / s) * (d / s)
-            num = 2 * V * (-math.expm1(-t)) - 2 * pidd * (-np.expm1(-params.lambda_p * s * s * V))
-            out[mid] = num / (pidd * V * (V - pidd)) / (s * s) / (s * s)
-    return float(out[0]) if scalar else out
+        out[mid] *= pair_correlation(u[mid] / d, params.kappa)
+    return float(out) if out.ndim == 0 else out
 
 
 def empty_space_pdf(r, lambda_m: float):

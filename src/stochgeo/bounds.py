@@ -3,7 +3,10 @@
 Both bounds share the same structure: an outer integral of the empty-space
 density times a noise factor times exp(-(near + far)), where near/far are
 reduced Campbell integrals of a per-interferer kernel against the hardcore
-pair density. They differ only in the kernel:
+pair density. Lengths are in mean spacings 1/sqrt(lambda_m), where the density
+is 1, (lambda_p, d) enter only through kappa = lambda_p pi d^2 and sigma2 only
+through the noise at the spacing, so no length leaves the floats. They differ
+only in the kernel:
 
   theorem1:      log(1 + x)        (Jensen route)
   proposition1:  x / (1 + x)       (PGFL-inequality route, the tighter one)
@@ -14,8 +17,8 @@ integrals run over {R >= r} in polar coordinates (R, psi) around the user,
 psi measured from the direction of the serving station. Only the pair density
 sees the station: an interferer at (R, psi) lies upsilon = sqrt(R^2 + r^2 -
 2 R r cos psi) from it, the density varies where d <= upsilon < 2d (the near
-shell) and is flat (lambda_m^2) beyond 2d. So the far term is lambda_m times
-the Poisson integral over {R >= r}, which has a closed form in one 2F1
+shell) and is flat (1) beyond 2d. So the far term is the Poisson integral
+over {R >= r}, which has a closed form in one 2F1
 (Andrews-Baccelli-Ganti; summed from its Pfaff and 1/z series, A&S 15.3.5 and
 15.3.7, within 1e-14 relative), minus the same integral over the compact part
 {R >= r, upsilon < 2d}. Integrating psi out leaves one radial weight per part
@@ -27,14 +30,13 @@ integrand is smooth. The 16 default nodes sit within 1.3e-9 relative of the
 curves at 512 nodes; the R and r trapezoids hold the larger errors, about
 6e-5 and 4e-5.
 
-rho2 depends on upsilon alone, so it is tabulated at RHO2_TABLE_INTERVALS + 1
-nodes equally spaced in upsilon^2 over [d^2, 4d^2] and read linearly in
-upsilon^2 by index, with no search. A bound curve takes every serving
+rho2 depends on upsilon/d and kappa alone, so it is tabulated at
+RHO2_TABLE_INTERVALS + 1 nodes equally spaced in (upsilon/d)^2 over [1, 4] and
+read linearly in upsilon^2 by index, with no search. A bound curve takes every serving
 distance in one pass, and every kind of bound shares that pass's weights.
-The measured interpolation error is at most 2.2e-7 lambda_m^2 (at
-(lambda_p, d) = (10, 0.5), next to the square-root edge of rho2 at 2d; the
-tests hold it below 1e-6 lambda_m^2) and moves the bound curves by less than
-1e-8 relative.
+The measured interpolation error is at most 2.2e-7 (at (lambda_p, d) =
+(10, 0.5), next to the square-root edge of rho2 at 2d; the tests hold it
+below 1e-6) and moves the bound curves by less than 1e-8 relative.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .analytics import default_torus, empty_space_pdf, mhc_density, second_order_density
+from .analytics import (default_torus, empty_space_pdf, mhc_density, pair_correlation,
+                        retention_probability)
 from .coverage import ChannelParams, CoverageCurve, beta_db_to_linear, threshold_grid
 from .errors import DataError, ParameterError
 from .pointprocess import R_MIN_KM, MhcParams, MhcSource, _check_count, _check_seed, _realizations
@@ -59,6 +62,8 @@ RHO2_TABLE_INTERVALS = 2048
 MAX_N_THETA = 2048
 # Terms of each _hyp2f1 series; every term is at most 2/3 of the one before.
 HYP2F1_TERMS = 96
+# Largest serving distance, in mean spacings: it leaves CDF mass e^-25 behind.
+R_MAX = 5.0 / math.sqrt(math.pi)
 
 
 class BoundKind(str, Enum):
@@ -143,15 +148,12 @@ def _outside_disk_integral(kind: BoundKind, r: float, beta_lin, alpha: float):
     return 0.5 * alpha * ratio - math.pi * r * r * np.log1p(beta)
 
 
-def _pair_density_table(params: MhcParams) -> tuple[np.ndarray, np.ndarray]:
-    """(rho2, its forward differences) at RHO2_TABLE_INTERVALS + 1 nodes equally
-    spaced in upsilon^2 over the band [d^2, 4d^2], for _read_pair_density."""
-    d = params.d
-    ups2 = np.linspace(d * d, 4.0 * d * d, RHO2_TABLE_INTERVALS + 1)
-    # the band edges are d and 2d; clipping keeps rounding off the zero
-    # branch of rho2 below d
-    rho2 = second_order_density(np.clip(np.sqrt(ups2), d, 2.0 * d), params)
-    return rho2, np.diff(rho2)
+def _pair_density_table(kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """(pair correlation rho2/lambda_m^2, its forward differences) at
+    RHO2_TABLE_INTERVALS + 1 nodes equally spaced in (upsilon/d)^2 over the band
+    [1, 4], for _read_pair_density."""
+    g = pair_correlation(np.sqrt(np.linspace(1.0, 4.0, RHO2_TABLE_INTERVALS + 1)), kappa)
+    return g, np.diff(g)
 
 
 def _read_pair_density(table: tuple, d: float, ups2: np.ndarray, index: np.ndarray):
@@ -185,10 +187,11 @@ def _angular_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _exponents(kinds: Sequence[BoundKind], r: np.ndarray, beta_lin: np.ndarray,
-               ch: ChannelParams, params: MhcParams, quad: QuadConfig) -> Iterator[tuple]:
+               ch: ChannelParams, kappa: float, quad: QuadConfig) -> Iterator[tuple]:
     """Yields each kind's (near, far) interference exponents, each of shape
     (len(beta_lin), len(r)), at the positive serving distances r over the
-    thresholds beta_lin (1-D arrays).
+    thresholds beta_lin (1-D arrays), for kappa = lambda_p pi d^2. r is in mean
+    spacings, where rho2 is the pair correlation and d = sqrt((1 - e^-kappa)/pi).
 
     In polar coordinates (R, psi) around the user the kernel is
     K(beta * geom) with geom = (r/R)^alpha, so psi integrates out into one
@@ -196,15 +199,14 @@ def _exponents(kinds: Sequence[BoundKind], r: np.ndarray, beta_lin: np.ndarray,
     within which interferers at distance R from the user lie closer than s to
     the serving station.
 
-      near weight:    2R * int_{psi_d}^{psi_2d} rho2(upsilon) / lambda_m dpsi
+      near weight:    2R * int_{psi_d}^{psi_2d} rho2(upsilon) dpsi
       compact weight: 2R * psi_2d(R)
 
     Both live on R in [r0, r + 2d] with r0 = max(r, d - r): closer than d - r
     every interferer lies within d of the station, where the near weight is
     zero and the compact part cancels the closed form exactly.
     """
-    lam_m = mhc_density(params)
-    d = params.d
+    d = math.sqrt(-math.expm1(-kappa) / math.pi)
     r0 = np.maximum(r, d - r)
     R = np.geomspace(r0, r + 2.0 * d, quad.n_upsilon, axis=1)
     r = r[:, None]
@@ -219,7 +221,7 @@ def _exponents(kinds: Sequence[BoundKind], r: np.ndarray, beta_lin: np.ndarray,
     span = psi_2d - psi_d
     # rho2 at upsilon^2 = R^2 + r^2 - 2 R r cos(psi) of every angular node, summed in
     # place; a band of zero or subnormal width 3d^2 has span 0 and takes no nodes
-    table = _pair_density_table(params)
+    table = _pair_density_table(kappa)
     scale, shift = (-2.0 * r) * R, R * R + r * r
     near_weight, ups2, index = np.zeros_like(R), np.empty_like(R), np.empty(R.shape, np.intp)
     rule = _angular_rule(quad.n_theta) if 3.0 * d * d >= sys.float_info.min else ((), ())
@@ -234,7 +236,6 @@ def _exponents(kinds: Sequence[BoundKind], r: np.ndarray, beta_lin: np.ndarray,
         near_weight += ups2
     # Gauss-Legendre in psi: 2R times span/2 times the weighted sum
     near_weight *= R * span * trap
-    near_weight /= lam_m
     del psi_d, psi_2d, span, scale, shift, ups2, index, trap  # freed before the kernel pass
     geom = ((r / R) ** 2) ** (ch.alpha / 2.0)
 
@@ -247,13 +248,13 @@ def _exponents(kinds: Sequence[BoundKind], r: np.ndarray, beta_lin: np.ndarray,
         # K(beta (r/R)^alpha) = K(beta geom[:, 0] (r0/R)^alpha): the closed form at r0
         outside = _outside_disk_integral(kind, r0, np.multiply.outer(beta_lin, geom[:, 0]),
                                          ch.alpha)
-        yield near, lam_m * (outside - compact)
+        yield near, outside - compact
 
 
 def interference_exponent(kind: BoundKind, r: float, phi: float, beta_linear: float,
                           ch: ChannelParams, params: MhcParams,
                           quad: QuadConfig | None = None) -> ExponentResult:
-    """Near/far interference exponents at serving distance r.
+    """Near/far interference exponents at serving distance r (km).
 
     near: integral over the pair-correlation shell d <= upsilon < 2d;
     far: integral over upsilon >= 2d, taken as lambda_m times the closed form
@@ -266,13 +267,13 @@ def interference_exponent(kind: BoundKind, r: float, phi: float, beta_linear: fl
     perfbench/probes.py reads them.
     """
     quad = quad or QuadConfig()
-    outer = r + 2.0 * params.d
-    if not (r > 0 and math.isfinite(outer * outer + r * r)):
-        raise ParameterError("r must be > 0 with (r + 2d)^2 + r^2 finite")
+    r_unit = r * math.sqrt(mhc_density(params))  # and d < 1 in mean spacings
+    if not (r_unit > 0 and math.isfinite((r_unit + 2.0) * (r_unit + 2.0) + r_unit * r_unit)):
+        raise ParameterError("r must be > 0 with (r + 2d)^2 + r^2 finite in mean spacings")
     if not 0 <= beta_linear < math.inf:
         raise ParameterError("beta_linear must be finite and >= 0")
-    [(near, far)] = _exponents([BoundKind(kind)], np.array([r], float),
-                               np.array([beta_linear]), ch, params, quad)
+    [(near, far)] = _exponents([BoundKind(kind)], np.array([r_unit]),
+                               np.array([beta_linear]), ch, params.kappa, quad)
     return ExponentResult(float(near[0, 0]), float(far[0, 0]), 2.0 * params.d, 0.0, 0)
 
 
@@ -282,42 +283,37 @@ def coverage_bound(kind: BoundKind, ch: ChannelParams, params: MhcParams,
     return coverage_bounds([kind], ch, params, beta_db, quad)[0]
 
 
-# a noise or interference exponent past the floats is inf: exp(-inf) = 0 is its limit
-@np.errstate(over="ignore")
+# an exponent past the floats is inf: exp(-inf) = 0 is its limit; log(0) = -inf
+@np.errstate(over="ignore", divide="ignore")
 def coverage_bounds(kinds: Sequence[BoundKind], ch: ChannelParams, params: MhcParams,
                     beta_db: Sequence[float],
                     quad: QuadConfig | None = None) -> list[CoverageCurve]:
     """Lower bounds of each kind over a threshold grid, from one set of weights.
 
-    Integrates empty_space_pdf(r) * exp(-gamma*beta*sigma2*r^alpha) *
-    exp(-(near+far)) over r on [0, r_max] with a grid clustered near 0;
-    r_max = 5/sqrt(pi lambda_m) leaves empty-space CDF mass ~1e-11 behind.
+    Integrates empty_space_pdf(r, 1) * exp(-beta sigma2/p_t lambda_m^(-alpha/2)
+    r^alpha) * exp(-(near+far)) over r in mean spacings on [0, R_MAX], with a
+    grid clustered near 0 and the noise exponent formed in logs.
     """
     kinds = [BoundKind(kind) for kind in kinds]
     quad = quad or QuadConfig()
     beta_db = threshold_grid(beta_db)
     beta_lin = beta_db_to_linear(beta_db)
-    lam_m = mhc_density(params)
-    r_max = 5.0 / math.sqrt(math.pi * lam_m)
-    # r_max^alpha (noise) and (r_max + 2d)^2 + r_max^2 (exponents) are finite when
-    # (r_max + 2d)^(alpha + 1) is; in logs, as a float ** overflows with an error
-    if not (ch.alpha + 1.0) * math.log(r_max + 2.0 * params.d) < math.log(sys.float_info.max):
-        raise ParameterError(f"retained density {lam_m:g} is too small or alpha {ch.alpha:g} "
-                             f"too large: serving distances up to {r_max:g} km overflow the bound")
-    # the noise exponent's factor before r^alpha must be a float, or r = 0 gives 0 * inf
-    if not ch.gamma * float(beta_lin[-1]) * ch.sigma2 < math.inf:
-        raise ParameterError(f"the noise scale beta * sigma2 / p_t at {beta_db[-1]:g} dB is "
-                             "not a finite float: raise p_t or lower sigma2")
+    r_grid = R_MAX * (np.arange(quad.n_r) / (quad.n_r - 1)) ** 2
 
-    r_grid = r_max * (np.arange(quad.n_r) / (quad.n_r - 1)) ** 2
-
-    weight = empty_space_pdf(r_grid, lam_m)
-    noise = np.exp(-ch.gamma * beta_lin[:, None] * ch.sigma2 * r_grid[None, :] ** ch.alpha)
+    p = retention_probability(params)  # 0 at kappa = inf, where lambda_m = 1/(pi d^2)
+    log_lam = (math.log(params.lambda_p) + math.log(p) if p > 0
+               else -math.log(math.pi) - 2.0 * math.log(params.d))
+    # alpha log(r in km), held finite: a zero sigma2 or beta gives -inf, not -inf + inf
+    log_geom = np.minimum(ch.alpha * (np.log(r_grid) - 0.5 * log_lam), sys.float_info.max)
+    log_scale = np.log(ch.sigma2) - math.log(ch.p_t) + np.log(beta_lin)
+    noise = np.exp(-np.exp(log_scale[:, None] + log_geom[None, :]))
+    weight = empty_space_pdf(r_grid, 1.0)
     curves = []
-    for kind, exponents in zip(kinds, _exponents(kinds, r_grid[1:], beta_lin, ch, params, quad)):
+    exponents = _exponents(kinds, r_grid[1:], beta_lin, ch, params.kappa, quad)
+    for kind, (near, far) in zip(kinds, exponents):
         # r_grid[0] = 0 keeps exponent 0: empty_space_pdf(0) = 0
         mu = np.zeros((beta_lin.size, quad.n_r))
-        mu[:, 1:] = np.add(*exponents)
+        mu[:, 1:] = near + far
         values = np.trapezoid(weight[None, :] * noise * np.exp(-mu), x=r_grid, axis=1)
         curves.append(CoverageCurve(beta_db, np.clip(values, 0.0, 1.0), None, kind.value))
     return curves
@@ -328,6 +324,7 @@ class PgflCheck(NamedTuple):
     rhs: float
     lhs_se: float
     rhs_se: float
+    gap_se: float  # of lhs - rhs by the delta method: its slopes in (prod, sum) are (1, rhs)
 
 
 @np.errstate(over="ignore")  # see the kernel's geometry below
@@ -375,4 +372,5 @@ def pgfl_bound_check(params: MhcParams, ch: ChannelParams, beta_linear: float,
     mean_sum = float(sums.mean())
     sum_se = float(sums.std(ddof=1) / math.sqrt(n_realizations))
     rhs = math.exp(-mean_sum)
-    return PgflCheck(lhs, rhs, lhs_se, rhs * sum_se)
+    gap_se = float((prods + rhs * sums).std(ddof=1) / math.sqrt(n_realizations))
+    return PgflCheck(lhs, rhs, lhs_se, rhs * sum_se, gap_se)

@@ -408,8 +408,7 @@ def _cmd_validate(args) -> int:
         ch = coverage.ChannelParams(alpha=args.alpha, sigma2=0.0)
         beta_lin = coverage.beta_db_to_linear(args.beta_db_value)
         check = bounds.pgfl_bound_check(params, ch, float(beta_lin), args.r, n, seed)
-        slack = 3.0 * math.hypot(check.lhs_se, check.rhs_se)
-        ok = check.lhs >= check.rhs - slack
+        ok = check.lhs - check.rhs >= -3.0 * check.gap_se
         report = (f"pgfl-bound: lhs={check.lhs:.4f}+-{check.lhs_se:.4f} "
                   f"rhs={check.rhs:.4f}+-{check.rhs_se:.4f}")
     print(f"{'PASS' if ok else 'FAIL'} {report}")

@@ -56,10 +56,6 @@ class ChannelParams:
         if not (math.isfinite(self.p_t) and self.p_t > 0):
             raise ParameterError("p_t must be finite and > 0")
 
-    @property
-    def gamma(self) -> float:
-        return 1.0 / self.p_t
-
 
 @dataclass(frozen=True)
 class CoverageCurve:

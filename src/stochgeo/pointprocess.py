@@ -131,6 +131,13 @@ class MhcParams:
         if not (math.isfinite(self.d) and self.d >= 0):
             raise ParameterError("d must be finite and >= 0")
 
+    @property
+    def kappa(self) -> float:
+        """lambda_p pi d^2, the mean number of parents within d of a point (may be inf)."""
+        if self.lambda_p * math.pi < math.inf:
+            return self.lambda_p * math.pi * self.d * self.d
+        return self.lambda_p * self.d * (math.pi * self.d)  # lambda_p pi alone overflows
+
 
 @dataclass(frozen=True)
 class PointSet:

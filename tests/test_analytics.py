@@ -24,6 +24,7 @@ from stochgeo import (
     second_order_density,
     void_probability_empirical,
 )
+from stochgeo.analytics import pair_correlation
 from stochgeo.pointprocess import _realizations
 
 # scalar reference values, evaluated at 30 decimal digits
@@ -67,6 +68,11 @@ def test_density_values_and_limits():
     assert mhc_density(MhcParams(1e9, 0.5)) == pytest.approx(sat, rel=1e-6)
     for lam in (0.5, 1.0, 3.0, 10.0):
         assert mhc_density(MhcParams(lam, 0.5)) < sat
+    # saturated, kappa = inf: the pair correlation rho2 / lambda_m^2 is 2/v, v the
+    # two-disc union area over pi d^2
+    ratio = np.linspace(1.0, 2.0, 9)
+    v = disc_union_area(ratio, 1.0) / math.pi
+    assert np.allclose(pair_correlation(ratio, math.inf), 2.0 / v, rtol=1e-15, atol=0.0)
 
 
 def test_union_area_boundaries():

@@ -257,7 +257,8 @@ def test_exponent_node_sweep_far_nonnegative_and_kinds_ordered():
     betas = 10.0 ** (np.arange(-10.0, 31.0, 5.0) / 10.0)
     r = np.geomspace(1e-3, 3.0, 40)
     (th1_near, th1_far), (prop1_near, prop1_far) = _exponents(
-        list(BoundKind), r, betas, CH4, params, QuadConfig())
+        list(BoundKind), r * math.sqrt(mhc_density(params)), betas, CH4, params.kappa,
+        QuadConfig())
     bad = (th1_far < 0) | (prop1_far < 0) | (th1_near + th1_far < prop1_near + prop1_far)
     assert [(float(r[j]), float(betas[i])) for i, j in zip(*np.nonzero(bad))] == []
 
@@ -265,11 +266,13 @@ def test_exponent_node_sweep_far_nonnegative_and_kinds_ordered():
 @pytest.mark.parametrize("kind", list(BoundKind))
 @pytest.mark.parametrize("d", [0.5, 0.0])
 def test_exponents_over_r_match_the_single_r_exponent(kind, d):
-    # r = 0.1 and 0.3 lie below d = 0.5, on the r0 = d - r branch
+    # r = 0.1 and 0.3 lie below d = 0.5, on the r0 = d - r branch; _exponents
+    # takes r in mean spacings
     params = MhcParams(3.0, d)
     r = np.array([0.1, 0.3, 0.7, 2.0])
     betas = np.array([0.1, 1.0, 100.0])
-    [(near, far)] = _exponents([kind], r, betas, CH4, params, QuadConfig())
+    [(near, far)] = _exponents([kind], r * math.sqrt(mhc_density(params)), betas, CH4,
+                               params.kappa, QuadConfig())
     assert near.shape == far.shape == (betas.size, r.size)
     for i, beta in enumerate(betas):
         for j, rj in enumerate(r):
@@ -282,7 +285,7 @@ def test_exponent_alpha_at_most_2_rejected():
     with pytest.raises(ParameterError):
         ChannelParams(alpha=2.0, sigma2=0.1)
     [(near, far)] = _exponents([BoundKind.THEOREM1], np.array([0.5]), np.array([1.0]), CH4,
-                               MhcParams(1.0, 0.1), QuadConfig())
+                               MhcParams(1.0, 0.1).kappa, QuadConfig())
     assert near[0, 0] > 0 and far[0, 0] > 0
 
 
@@ -378,14 +381,18 @@ def test_bound_monotone_in_threshold():
 @pytest.mark.parametrize("kind", list(BoundKind))
 @pytest.mark.parametrize("lambda_p,d,alpha", [(3.0, 0.5, 4.0), (1.0, 0.3, 2.5), (1.0, 0.0, 6.0)])
 def test_bound_without_noise_is_unchanged_when_the_plane_is_rescaled(kind, lambda_p, d, alpha):
-    # at sigma2 = 0 coverage depends on distances only through their ratios:
-    # (lambda_p, d) -> (lambda_p / s^2, d s) scales every length by s
-    ch = ChannelParams(alpha=alpha, sigma2=0.0)
+    # (lambda_p, d, sigma2) -> (lambda_p s^2, d / s, sigma2 s^alpha) divides every
+    # length by s and keeps the noise at the mean spacing: at sigma2 = 0 the map
+    # holds from one end of the floats to the other, and with noise it holds too
     beta_db = [-10.0, 0.0, 10.0, 30.0]
-    want = coverage_bound(kind, ch, MhcParams(lambda_p, d), beta_db).p_c
-    for s in (1e-3, 10.0, 1e3):
-        got = coverage_bound(kind, ch, MhcParams(lambda_p / s ** 2, d * s), beta_db).p_c
-        assert np.max(np.abs(got / want - 1.0)) < 1e-9
+    for sigma2, scales in ((0.0, (1e-100, 1e-3, 0.37, 10.0, 1e4, 1e100)),
+                           (0.1, (1e-3, 0.37, 10.0, 1e4))):
+        want = coverage_bound(kind, ChannelParams(alpha, sigma2), MhcParams(lambda_p, d),
+                              beta_db).p_c
+        for s in scales:
+            ch = ChannelParams(alpha, sigma2 * s ** alpha if sigma2 else 0.0)  # s^alpha overflows
+            got = coverage_bound(kind, ch, MhcParams(lambda_p * s * s, d / s), beta_db).p_c
+            assert np.max(np.abs(got / want - 1.0)) < 1e-9, (sigma2, s)
 
 
 def test_bound_ppp_limit_closed_form():
@@ -410,12 +417,14 @@ def test_bound_at_zero_hardcore_distance_is_the_poisson_closed_form():
 
 @pytest.mark.parametrize("kind", list(BoundKind))
 def test_bound_below_float_resolution_of_the_band_is_the_zero_distance_one(kind):
-    # 3d^2 = 3e-320 is subnormal: the band cannot hold a table and is empty
+    # 3d^2 = 3e-320 is subnormal: the band cannot hold a table and is empty; at
+    # (1.7e308, 1e-170) lambda_p pi overflows, but kappa = 5e-32 does not
     ch = ChannelParams(alpha=4.0, sigma2=0.0)
-    tiny = coverage_bound(kind, ch, MhcParams(1.0, 1e-160), [0.0, 10.0])
     zero = coverage_bound(kind, ch, MhcParams(1.0, 0.0), [0.0, 10.0])
-    assert np.all(np.isfinite(tiny.p_c))
-    assert np.allclose(tiny.p_c, zero.p_c, rtol=1e-12, atol=0.0)
+    for lambda_p, d in ((1.0, 1e-160), (1.7e308, 1e-170)):
+        tiny = coverage_bound(kind, ch, MhcParams(lambda_p, d), [0.0, 10.0])
+        assert np.all(np.isfinite(tiny.p_c))
+        assert np.allclose(tiny.p_c, zero.p_c, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("kind", list(BoundKind))
@@ -430,12 +439,13 @@ def test_bound_at_tiny_hardcore_distance_is_finite_and_the_zero_distance_one(kin
 @pytest.mark.parametrize("lambda_p,d", [(3.0, 0.5), (1.0, 0.3), (2.0, 0.4), (10.0, 0.5),
                                         (1.0, 1e-3)])
 def test_pair_density_table_matches_closed_form(lambda_p, d):
+    # the table holds rho2 / lambda_m^2
     params = MhcParams(lambda_p, d)
     ups = np.random.default_rng(5).uniform(d, 2.0 * d, 100_000)
     got = ups * ups
-    _read_pair_density(_pair_density_table(params), d, got, np.empty(ups.shape, np.intp))
-    exact = second_order_density(ups, params)
-    assert np.max(np.abs(got - exact)) <= 1e-6 * mhc_density(params) ** 2
+    _read_pair_density(_pair_density_table(params.kappa), d, got, np.empty(ups.shape, np.intp))
+    exact = second_order_density(ups, params) / mhc_density(params) ** 2
+    assert np.max(np.abs(got - exact)) <= 1e-6
 
 
 @settings(max_examples=200, deadline=None)
@@ -447,13 +457,13 @@ def test_pair_density_table_matches_closed_form(lambda_p, d):
 def test_pair_density_reader_matches_np_interp(lambda_p, d, u):
     # u is the position across the band in units of its width 3d^2; u < 0 and
     # u > 1 lie below d^2 and above 4d^2, where both hold the end values
-    params = MhcParams(lambda_p, d)
-    table = _pair_density_table(params)
+    # (the table holds rho2 / lambda_m^2)
+    table = _pair_density_table(MhcParams(lambda_p, d).kappa)
     ups2 = d * d * (1.0 + 3.0 * np.array(u))
     want = np.interp(ups2, np.linspace(d * d, 4.0 * d * d, bounds.RHO2_TABLE_INTERVALS + 1),
                      table[0])
     _read_pair_density(table, d, ups2, np.empty(ups2.shape, np.intp))
-    assert np.max(np.abs(ups2 - want)) <= 1e-15 * mhc_density(params) ** 2
+    assert np.max(np.abs(ups2 - want)) <= 1e-15
 
 
 @pytest.mark.parametrize("lambda_p", [1e-100, 1.0, 1e100])
@@ -474,7 +484,7 @@ def test_bound_at_extreme_scales_is_a_coverage_or_a_parameter_error(lambda_p, d)
 
 def test_pgfl_exact_at_zero_threshold():
     res = pgfl_bound_check(MhcParams(1.0, 0.3), CH4, 0.0, 0.3, 100, 1)
-    assert res.lhs == 1.0 and res.rhs == 1.0
+    assert res.lhs == 1.0 and res.rhs == 1.0 and res.gap_se == 0.0
 
 
 def test_pgfl_equality_in_ppp_limit():
@@ -482,6 +492,8 @@ def test_pgfl_equality_in_ppp_limit():
     res = pgfl_bound_check(MhcParams(1.0, 1e-3), ch, 1.0, 0.3, 800, seed=11)
     comb = math.hypot(res.lhs_se, res.rhs_se)
     assert abs(res.lhs - res.rhs) <= 3 * comb
+    # lhs and rhs move together over shared realizations: pairing narrows the gap's SE
+    assert 0.0 < res.gap_se < comb and abs(res.lhs - res.rhs) <= 3 * res.gap_se
 
 
 def test_pgfl_requires_enough_realizations():

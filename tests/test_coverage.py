@@ -43,8 +43,7 @@ def test_channel_validation():
         ChannelParams(alpha=4.0, sigma2=-0.1)
     with pytest.raises(ParameterError):
         ChannelParams(alpha=4.0, sigma2=0.1, p_t=0.0)
-    ch = ChannelParams(alpha=4.0, sigma2=0.1, p_t=2.0)
-    assert ch.gamma == 0.5
+    assert ChannelParams(alpha=4.0, sigma2=0.1, p_t=2.0).p_t == 2.0
 
 
 def test_curve_validation():
@@ -86,7 +85,7 @@ def test_single_station_sinr_is_scaled_exponential():
     n = 20000
     draws, _ = sinr_draws(user, bs, ch, rng, n)
     for beta in (0.2, 1.0, 3.0):
-        ref = math.exp(-ch.gamma * beta * ch.sigma2 * 1.2 ** 4)
+        ref = math.exp(-beta * ch.sigma2 / ch.p_t * 1.2 ** 4)
         p_hat = np.mean(draws >= beta)
         se = math.sqrt(ref * (1 - ref) / n)
         assert abs(p_hat - ref) < 4 * se
@@ -504,7 +503,7 @@ def test_noise_only_curve_matches_user_average():
     for beta_db_val, p_hat, se in zip(curve.beta_db, curve.p_c, curve.std_err):
         beta = 10 ** (beta_db_val / 10)
         val, _ = dblquad(
-            lambda y, x: math.exp(-ch.gamma * beta * ch.sigma2
+            lambda y, x: math.exp(-beta * ch.sigma2 / ch.p_t
                                   * math.hypot(x - 5.0, y - 5.0) ** 4),
             2.0, 8.0, 2.0, 8.0)
         ref = val / 36.0

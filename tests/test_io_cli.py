@@ -12,7 +12,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stochgeo import CoverageCurve, DataError, PointSet, Window, cli, load_deployment
+from stochgeo import (
+    CoverageCurve,
+    DataError,
+    MhcParams,
+    PointSet,
+    Window,
+    cli,
+    load_deployment,
+    mhc_density,
+)
 from stochgeo.cli import OPTIONS, _record, main, parse_grid_spec, parse_window
 from stochgeo.io import (
     config_lines,
@@ -461,9 +470,11 @@ def test_cli_non_finite_parameter_is_a_usage_error(argv, capsys):
     assert "finite" in err
 
 
+# Row ids keep their numbers from the tables that also held `bound` rows; those
+# runs now answer (test_cli_bound_answers_at_scales_its_km_guards_rejected).
 @pytest.mark.parametrize("argv", [
-    ["bound", "--lambda-p", "1e300", "--d", "1e5", "--beta-db", "0"],
-    ["simulate", "--source", "mhc:lambda_p=1e300,d=1e5", "--trials", "1"],
+    pytest.param(["simulate", "--source", "mhc:lambda_p=1e300,d=1e5", "--trials", "1"],
+                 id="argv1"),
 ])
 def test_cli_underflowing_retained_density_is_a_usage_error(argv, capsys):
     assert run(argv) == 2
@@ -476,37 +487,125 @@ def test_cli_underflowing_retained_density_is_a_usage_error(argv, capsys):
     (["simulate", "--source", "mhc", "--lambda-p", "3", "--d", "1e200", "--trials", "5",
       "--threads", "1"], "underflows"),
     (["validate", "void", "--lambda-p", "3", "--d", "1e200", "--r", "1"], "underflows"),
-    (["bound", "--lambda-p", "3", "--d", "1e200"], "underflows"),
-    # the series branch of rho2 scales by lambda_p^2
-    (["bound", "--lambda-p", "1e200", "--d", "1e-102", "--beta-db", "0"], "lambda_p^2"),
     # a window whose area rounds to 0
-    (["sample", "grid", "--n", "4", "--window", "1e-300x1e-300"], "area"),
-    (["simulate", "--source", "grid", "--n", "4", "--window", "1e-300x1e-300", "--trials",
-      "5", "--threads", "1"], "area"),
-    (["sample", "ppp", "--lambda-p", "1", "--window", "1e-300x1e-300"], "area"),
+    pytest.param(["sample", "grid", "--n", "4", "--window", "1e-300x1e-300"], "area",
+                 id="argv4-area"),
+    pytest.param(["simulate", "--source", "grid", "--n", "4", "--window", "1e-300x1e-300",
+                  "--trials", "5", "--threads", "1"], "area", id="argv5-area"),
+    pytest.param(["sample", "ppp", "--lambda-p", "1", "--window", "1e-300x1e-300"], "area",
+                 id="argv6-area"),
     # bins of half-width 0.02 d whose normalizing area rounds to 0
-    (["validate", "rho2", "--lambda-p", "1", "--d", "1e-170"], "bin area"),
+    pytest.param(["validate", "rho2", "--lambda-p", "1", "--d", "1e-170"], "bin area",
+                 id="argv7-bin area"),
     # the area is positive, but area / n, the squared lattice spacing, rounds to 0
-    (["sample", "grid", "--n", "1000", "--window", "1e-161x1e-161"], "spacing"),
-    (["simulate", "--source", "grid", "--n", "1000", "--window", "1e-161x1e-161",
-      "--trials", "5", "--threads", "1"], "spacing"),
+    pytest.param(["sample", "grid", "--n", "1000", "--window", "1e-161x1e-161"], "spacing",
+                 id="argv8-spacing"),
+    pytest.param(["simulate", "--source", "grid", "--n", "1000", "--window", "1e-161x1e-161",
+                  "--trials", "5", "--threads", "1"], "spacing", id="argv9-spacing"),
     # 10^(beta/10) overflows from about 3082.5 dB
-    (["simulate", "--source", "ppp", "--lambda-p", "1", "--beta-db", "4000", "--trials", "10",
-      "--threads", "1"], "beta_db"),
-    (["bound", "--lambda-p", "3", "--d", "0.5", "--beta-db", "4000"], "beta_db"),
-    (["validate", "pgfl-bound", "--lambda-p", "1", "--d", "0.3", "--r", "0.3",
-      "--beta-db", "4000"], "beta_db"),
-    # station gains up to R_MIN_KM^-alpha, and (r_max + 2d)^(alpha + 1), overflow
-    (["simulate", "--source", "ppp", "--lambda-p", "1", "--alpha", "700", "--beta-db", "0",
-      "--trials", "10", "--threads", "1"], "alpha 700"),
-    (["bound", "--lambda-p", "3", "--d", "0.5", "--alpha", "600"], "alpha 600"),
-    (["bound", "--lambda-p", "3", "--d", "0.5", "--alpha", "52", "--with-sim", "--trials", "10"],
-     "alpha 52"),
+    pytest.param(["simulate", "--source", "ppp", "--lambda-p", "1", "--beta-db", "4000",
+                  "--trials", "10", "--threads", "1"], "beta_db", id="argv10-beta_db"),
+    pytest.param(["bound", "--lambda-p", "3", "--d", "0.5", "--beta-db", "4000"], "beta_db",
+                 id="argv11-beta_db"),
+    pytest.param(["validate", "pgfl-bound", "--lambda-p", "1", "--d", "0.3", "--r", "0.3",
+                  "--beta-db", "4000"], "beta_db", id="argv12-beta_db"),
+    # station gains up to R_MIN_KM^-alpha overflow
+    pytest.param(["simulate", "--source", "ppp", "--lambda-p", "1", "--alpha", "700",
+                  "--beta-db", "0", "--trials", "10", "--threads", "1"], "alpha 700",
+                 id="argv13-alpha 700"),
+    pytest.param(["bound", "--lambda-p", "3", "--d", "0.5", "--alpha", "52", "--with-sim",
+                  "--trials", "10"], "alpha 52", id="argv15-alpha 52"),
 ])
 def test_cli_overflowing_or_underflowing_scale_is_a_usage_error(argv, message, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+SMALL_QUAD = ["--n-r", "16", "--n-theta", "16", "--n-upsilon", "16"]
+
+
+def bound_p_c(argv, capsys):
+    """Every p_c of one `bound` run on small grids, which must end cleanly: exit 0,
+    nothing on stderr, no RuntimeWarning, and finite values in [0, 1]."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["bound", *SMALL_QUAD, *argv]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    rows = [line for line in out.splitlines() if not line.startswith("#")][1:]
+    p_c = np.array([float(row.split(",")[1]) for row in rows])
+    assert p_c.size and np.all((p_c >= 0.0) & (p_c <= 1.0))
+    return p_c
+
+
+# The bound depends on (lambda_p, d, sigma2) only through kappa = lambda_p pi d^2
+# and the noise at the mean spacing, sigma2 lambda_m^(-alpha/2); its limits are
+# MHC(1, 0) where kappa is negligible, the saturated MHC(1e3, 1/sqrt(pi)) (e^-kappa
+# is 0) where kappa is huge, each with lambda_m = 1 and that noise, and coverage 0
+# where that noise is past 1e19: the noise factor is then 0 at every positive
+# serving distance of the grid.
+@pytest.mark.parametrize("argv, limit", [
+    # the retained density is 3e-11, 3e-401 and 1e-308 (in logs): saturated or not, the
+    # noise at the mean spacing is 1e19 or more
+    pytest.param(["--lambda-p", "1e300", "--d", "1e5", "--beta-db", "0"], None,
+                 id="underflowing-density"),
+    pytest.param(["--lambda-p", "3", "--d", "1e200"], None, id="d-1e200"),
+    pytest.param(["--lambda-p", "1e-308", "--d", "0.5"], None, id="serving-range-1e154"),
+    # the plane rescaled by 1e-100 is MHC(1, 0.01), and its noise 1e-401 is 0
+    pytest.param(["--lambda-p", "1e200", "--d", "1e-102", "--beta-db", "0"],
+                 ["--lambda-p", "1", "--d", "0.01", "--sigma2", "0", "--beta-db", "0"],
+                 id="series-lambda_p-1e200"),
+    # kappa = 8e-201: the zero-distance curve
+    pytest.param(["--lambda-p", "1e-200", "--d", "0.5", "--sigma2", "0"],
+                 ["--lambda-p", "1", "--d", "0", "--sigma2", "0"], id="noise-free-1e-200"),
+])
+def test_cli_bound_answers_at_scales_its_km_guards_rejected(argv, limit, capsys):
+    p_c = bound_p_c(argv, capsys)
+    want = np.zeros_like(p_c) if limit is None else bound_p_c(limit, capsys)
+    assert np.allclose(p_c, want, rtol=1e-9, atol=0.0)
+    if limit is not None:  # a curve, not the zero one
+        assert np.all(p_c > 0.0)
+
+
+def test_cli_bound_answers_at_alpha_600(capsys):
+    # the noise factor exp(-beta sigma2 r^alpha) at alpha = 600 is a step at
+    # r* = (beta sigma2)^(-1/alpha); at -10 dB interference is negligible and
+    # coverage tends to the contact law's P(r < r*) = 1 - exp(-pi lambda_m r*^2),
+    # within the default r grid's resolution of the step
+    p_c = bound_p_c(["--lambda-p", "3", "--d", "0.5", "--alpha", "600", "--beta-db=-10,0,10,30",
+                     "--n-r", "128", "--n-upsilon", "256"], capsys)
+    assert np.allclose(p_c, [0.9738447462120909, 0.9724709959105537, 0.965526276648959,
+                             0.9215210499636108, 0.9738471849917404, 0.9726554219155039,
+                             0.9689497128820077, 0.9575948883223853], rtol=1e-9, atol=0.0)
+    r_star = (0.1 * 0.1) ** (-1.0 / 600.0)
+    step = 1.0 - math.exp(-math.pi * mhc_density(MhcParams(3.0, 0.5)) * r_star * r_star)
+    assert abs(p_c[0] - step) < 2e-3 and abs(p_c[4] - step) < 2e-3
+
+
+SWEEP_LAMBDA_P = [1e-300, 1e-100, 1.0, 1e100, 1e300]
+SWEEP_D = [0.0, 1e-300, 1e-100, 1.0, 1e100, 1e300]
+
+
+def test_cli_bound_answers_across_the_floats(capsys):
+    # every kappa here is 0, at most 3e-100 or at least 3e100, except at (1, 1)
+    beta_db = ["--beta-db=-10,10,30"]
+    for lambda_p in SWEEP_LAMBDA_P:
+        for d in SWEEP_D:
+            p_c = bound_p_c(["--lambda-p", repr(lambda_p), "--d", repr(d), *beta_db], capsys)
+            kappa = lambda_p * math.pi * d * d
+            if 1e-90 < kappa < 1e90:
+                continue
+            # log lambda_m: lambda_p where kappa is negligible, 1/(pi d^2) where it is huge
+            log_lam = math.log(lambda_p) if kappa < 1.0 else -math.log(math.pi) - 2 * math.log(d)
+            log_noise = math.log(0.1) - 2.0 * log_lam  # sigma2 = 0.1 and alpha = 4
+            if log_noise > math.log(1e19):
+                want = np.zeros_like(p_c)
+            else:
+                limit = ["--d", "0"] if kappa < 1.0 else ["--d", repr(1.0 / math.sqrt(math.pi))]
+                want = bound_p_c(["--lambda-p", "1" if kappa < 1.0 else "1e3", *limit,
+                                  "--sigma2", repr(math.exp(log_noise)), *beta_db], capsys)
+            assert np.allclose(p_c, want, rtol=1e-9, atol=0.0), (lambda_p, d)
 
 
 def test_cli_validate_rho2_passes_where_squared_densities_underflow(capsys):
@@ -516,18 +615,6 @@ def test_cli_validate_rho2_passes_where_squared_densities_underflow(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1].startswith("PASS rho2: worst |z| = ")
     assert all(float(row.split(",")[4]) <= 3.0 for row in lines[1:-1])
-
-
-@pytest.mark.parametrize("argv", [
-    # 5/sqrt(pi lambda_m) is about 2.8e154: (r + 2d)^2 + r^2 overflows
-    ["bound", "--lambda-p", "1e-308", "--d", "0.5"],
-    # r^alpha overflows, and the noise factor would compute 0 * inf
-    ["bound", "--lambda-p", "1e-200", "--d", "0.5", "--sigma2", "0"],
-])
-def test_cli_bound_overflowing_serving_distance_range_is_a_usage_error(argv, capsys):
-    assert run(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "overflow" in err
 
 
 @pytest.mark.parametrize("factor", ["0", "-1", "nan", "inf"])
@@ -616,6 +703,14 @@ def test_cli_validate_pgfl_ppp_limit(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "PASS pgfl-bound" in out
+
+
+def test_cli_validate_pgfl_fails_for_the_hardcore_process(capsys):
+    # MHC(1, 0.3) at 0 dB: lhs - rhs = -0.0085 against a paired SE of 0.0015
+    # (z = -5.8). The old unpaired slack, 3 hypot(lhs_se, rhs_se) = 0.035, let it pass
+    assert run(["validate", "pgfl-bound", "--lambda-p", "1", "--d", "0.3", "--r", "0.3",
+                "--seed", "0"]) == 1
+    assert capsys.readouterr().out == "FAIL pgfl-bound: lhs=0.7452+-0.0087 rhs=0.7537+-0.0077\n"
 
 
 def test_cli_fit_single_candidate(tmp_path, capsys):
