@@ -46,8 +46,10 @@ def retention_probability(params: MhcParams) -> float:
 
 
 def mhc_density(params: MhcParams) -> float:
-    """Retained density lambda_m = p * lambda_p; saturates below 1/(pi d^2)."""
-    lam_m = retention_probability(params) * params.lambda_p
+    """Retained density lambda_m = p * lambda_p; saturates below 1/(pi d^2), its
+    value where kappa overflows."""
+    lam_m = (retention_probability(params) * params.lambda_p if params.kappa < math.inf
+             else 1.0 / (math.pi * params.d * params.d))
     if not lam_m > 0:
         raise ParameterError("retained density underflows to 0; lower lambda_p or d")
     return lam_m
@@ -73,6 +75,7 @@ def disc_union_area(upsilon, d: float):
     return out if u.ndim else float(out)
 
 
+@np.errstate(over="ignore")  # kappa v past the floats: e^-inf = 0 is its limit
 def pair_correlation(ratio, kappa: float):
     """rho2 / lambda_m^2 at separations ratio = upsilon/d in [1, 2], for kappa =
     lambda_p pi d^2 (inf allowed): 2 (v (1 - e^-kappa) - (1 - e^-kappa v)) /

@@ -68,6 +68,9 @@ def test_density_values_and_limits():
     assert mhc_density(MhcParams(1e9, 0.5)) == pytest.approx(sat, rel=1e-6)
     for lam in (0.5, 1.0, 3.0, 10.0):
         assert mhc_density(MhcParams(lam, 0.5)) < sat
+    # kappa overflows to inf, yet lambda_m = 1/(pi d^2) = 3.2e-11 is a normal float
+    assert MhcParams(1e300, 1e5).kappa == math.inf
+    assert mhc_density(MhcParams(1e300, 1e5)) == pytest.approx(1 / (math.pi * 1e10), rel=1e-15)
     # saturated, kappa = inf: the pair correlation rho2 / lambda_m^2 is 2/v, v the
     # two-disc union area over pi d^2
     ratio = np.linspace(1.0, 2.0, 9)

@@ -53,6 +53,9 @@ def kernel(kind, r, R, beta_linear, alpha):
 def test_quadconfig_validation_and_scaling():
     with pytest.raises(ParameterError):
         QuadConfig(n_r=8)
+    with pytest.raises(ParameterError, match="n_theta must be >= 8"):
+        QuadConfig(n_theta=7)
+    assert QuadConfig(n_theta=8).n_theta == 8
 
 
 def test_quadconfig_caps_n_theta_before_any_node_is_built(monkeypatch):
@@ -70,6 +73,16 @@ def test_angular_rule_is_built_once_and_read_only():
     assert bounds._angular_rule(16)[0] is t
     assert not (t.flags.writeable or w.flags.writeable)
     assert w.sum() == pytest.approx(2.0, rel=1e-14) and 0.0 < t.min() < t.max() < 1.0
+
+
+@pytest.mark.parametrize("n", [3, 10, 16])
+def test_angular_rule_integrates_the_edge_of_the_pair_density(n):
+    # rho2 has a (2d - upsilon)^(3/2) edge at t = 1; in s = sqrt(1 - t) it is a
+    # polynomial, so every n >= 3 integrates int_0^1 (1 - t)^(3/2) dt = 2/5 to the
+    # last bits, where the plain 10-node Gauss-Legendre rule misses by 6.6e-7
+    t, w = bounds._angular_rule(n)
+    assert abs(w.sum() - 2.0) <= 1e-14
+    assert abs(np.sum(w / 2.0 * (1.0 - t) ** 1.5) - 0.4) <= 1e-15
 
 
 def test_kernel_reference_values():
@@ -303,8 +316,8 @@ ANGULAR_BETA_DB = np.arange(-10.0, 21.0, 5.0)
 
 @pytest.mark.parametrize("lambda_p,d", ANGULAR_CASES)
 def test_bound_angular_rule_is_converged(lambda_p, d):
-    # the 16 default Gauss-Legendre nodes against 512 on the same R and r
-    # grids: the measured gap is at most 1.3e-9 relative
+    # the 10 default nodes against 512 on the same R and r grids: the measured
+    # gap is at most 1.2e-9 relative
     params = MhcParams(lambda_p, d)
     worst = 0.0
     for alpha in (2.5, 4.0, 6.0):
@@ -376,6 +389,17 @@ def test_bound_monotone_in_threshold():
     curve = coverage_bound(BoundKind.PROPOSITION1, CH4, MhcParams(3.0, 0.5),
                            np.arange(-10.0, 31.0, 5.0))
     assert np.all(np.diff(curve.p_c) < 0)
+
+
+@pytest.mark.parametrize("alpha", [8.0, 128.0, 600.0])
+def test_bound_monotone_in_threshold_at_large_alpha(alpha):
+    # the kernel falls by e over about r/alpha in R: 16 radial nodes let coverage
+    # rise with the threshold at alpha = 600, the default 256 do not (measured within
+    # 4.1e-4 relative of 4096 nodes there)
+    ch = ChannelParams(alpha=alpha, sigma2=0.1)
+    for curve in coverage_bounds(list(BoundKind), ch, MhcParams(3.0, 0.5),
+                                 np.arange(-10.0, 31.0, 10.0)):
+        assert np.all(np.diff(curve.p_c) <= 0)
 
 
 @pytest.mark.parametrize("kind", list(BoundKind))
