@@ -201,6 +201,7 @@ class PairDensityEstimate(NamedTuple):
     upsilon: np.ndarray
     density: np.ndarray
     std_err: np.ndarray
+    norm: np.ndarray  # area * 2 pi u * 2h: a realization's ordered pairs per unit density
 
 
 def pair_density_empirical(params: MhcParams, upsilons, n_realizations: int,
@@ -239,4 +240,4 @@ def pair_density_empirical(params: MhcParams, upsilons, n_realizations: int,
         counts[i] = 2 * (cum[len(ups):] - cum[:len(ups)])
     density = (counts / norm).mean(axis=0)
     se = counts.std(axis=0, ddof=1) / norm / math.sqrt(n_realizations)
-    return PairDensityEstimate(ups, density, se)
+    return PairDensityEstimate(ups, density, se, norm)

@@ -69,18 +69,6 @@ def parse_grid_spec(spec: str) -> np.ndarray:
     return start + step * np.arange(math.floor(span) + 1)
 
 
-def default_seed(args_seed) -> int:
-    if args_seed is not None:
-        return args_seed
-    env = os.environ.get("STOCHGEO_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParameterError(f"STOCHGEO_SEED must be an integer, got {env!r}")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # options
 
@@ -126,7 +114,7 @@ OPTIONS = {opt.flag.split()[-1].lstrip("-").replace("-", "_"): opt for opt in [
            f"'start:step:stop' or comma list (default {DEFAULT_BETA_DB})"),
     Option("--trials", "trials", int, DEFAULT_TRIALS,
            f"Monte Carlo trials (default {DEFAULT_TRIALS})"),
-    Option("--seed", "seed", int, help="RNG seed (default: $STOCHGEO_SEED or 0)"),
+    Option("--seed", "seed", int, 0, "RNG seed (default: $STOCHGEO_SEED or 0)"),
     Option("--kind", "kind", lambda v: v if v == "both" else bounds.BoundKind(v).value,
            "both", extra=dict(choices=["theorem1", "proposition1", "both"])),
     Option("--n-r", "n_r", int, bounds.QuadConfig.n_r),
@@ -150,20 +138,29 @@ _RECORDED = list(dict.fromkeys(opt.key for opt in OPTIONS.values() if opt.key))
 class _Values:
     """A run's option values by dest, each resolved once, on first use: the
     flag if given (a store_true flag not given reads False), else the cast
-    --config value, else the table's default."""
+    --config value, else $STOCHGEO_SEED for the seed, else the table's
+    default. A dest the command requires may not resolve to None."""
 
     def __init__(self, args):
         self.args = args
-        self.config = io.read_config(args.config) if getattr(args, "config", None) else {}
+        self.required = _COMMANDS[args.command][3].split()
+        env = os.environ.get("STOCHGEO_SEED")
+        # each config key's raw value and where it came from; --config wins
+        self.config = {} if env is None else {"seed": (env, "STOCHGEO_SEED")}
+        if getattr(args, "config", None):
+            self.config.update((k, (v, "--config")) for k, v in io.read_config(args.config).items())
 
     def __getattr__(self, dest: str):
         value = getattr(self.args, dest)
         opt = OPTIONS.get(dest)
         if opt is not None and opt.key and (value is None or value is False):
+            raw, where = self.config.get(opt.key, (None, None))
             try:
-                value = opt.cast(self.config[opt.key]) if opt.key in self.config else opt.default
+                value = opt.default if raw is None else opt.cast(raw)
             except ValueError:
-                raise ParameterError(f"bad {opt.key} value {self.config[opt.key]!r} in --config")
+                raise ParameterError(f"bad {opt.key} value {raw!r} in {where}")
+        if value is None and dest in self.required:
+            raise ParameterError(f"{opt.flag} is required")
         setattr(self, dest, value)
         return value
 
@@ -209,7 +206,6 @@ def _channel(args) -> coverage.ChannelParams:
 # sample
 
 def _cmd_sample(args) -> int:
-    seed = default_seed(args.seed)
     kind = args.process
     if kind not in ("ppp", "mhc", "grid"):
         raise ParameterError("sample needs a process: ppp, mhc or grid")
@@ -220,9 +216,9 @@ def _cmd_sample(args) -> int:
         ps = pointprocess.generate_grid(params["n"], win)
     elif kind == "mhc":
         mp = pointprocess.MhcParams(params["lambda_p"], params["d"])
-        ps = pointprocess.sample_mhc(mp, win, seed)
+        ps = pointprocess.sample_mhc(mp, win, args.seed)
     else:
-        ps = pointprocess.sample_ppp(params["lambda_p"], win, seed)
+        ps = pointprocess.sample_ppp(params["lambda_p"], win, args.seed)
     config = _record("sample", source=kind, lambda_p=params.get("lambda_p"),
                      d=params.get("d"), n_points=len(ps) if kind == "grid" else None,
                      window=args.window, edge=win.edge, margin=win.margin or None,
@@ -300,13 +296,10 @@ def _source_to_config(params: dict) -> str:
 
 
 def _cmd_simulate(args) -> int:
-    seed = default_seed(args.seed)
     trials = pointprocess._check_count(args.trials, 1, OPTIONS["trials"].flag)
     beta_db = parse_grid_spec(args.beta_db)
     ch = _channel(args)
 
-    if not args.source:
-        raise ParameterError("--source is required (ppp, mhc, grid or file)")
     if len(args.source) > 1 and any(":" not in s for s in args.source):
         raise ParameterError("with multiple sources, give each its parameters "
                              "inline, e.g. mhc:lambda_p=2,d=0.4")
@@ -315,9 +308,9 @@ def _cmd_simulate(args) -> int:
     config = _record("simulate", source=";".join(_source_to_config(p) for p in parsed),
                      window=args.window, edge=args.edge, margin=args.margin,
                      alpha=ch.alpha, sigma2=ch.sigma2, p_t=ch.p_t,
-                     beta_db=args.beta_db, trials=trials, seed=seed)
+                     beta_db=args.beta_db, trials=trials, seed=args.seed)
     curves = coverage.simulate_curves([_build_source(p, args) for p in parsed], ch, beta_db,
-                                      trials, seed, threads=args.threads)
+                                      trials, args.seed, threads=args.threads)
     _emit(args.out, io.curves_csv_text(curves, config))
     return 0
 
@@ -326,8 +319,6 @@ def _cmd_simulate(args) -> int:
 # bound
 
 def _cmd_bound(args) -> int:
-    if args.lambda_p is None or args.d is None:
-        raise ParameterError("--lambda-p and --d are required")
     params = pointprocess.MhcParams(args.lambda_p, args.d)
     ch = _channel(args)
     beta_db = parse_grid_spec(args.beta_db)
@@ -337,8 +328,7 @@ def _cmd_bound(args) -> int:
     seed = trials = None
     with_sim = bool(args.with_sim)
     if with_sim:  # check the simulation's inputs before the quadrature runs
-        seed = default_seed(args.seed)
-        trials = args.trials
+        seed, trials = args.seed, args.trials
         coverage._check_run(ch, trials, args.threads)
 
     curves = bounds.coverage_bounds(kinds, ch, params, beta_db, quad)
@@ -369,7 +359,6 @@ def _cmd_bound(args) -> int:
 
 def _cmd_validate(args) -> int:
     params = pointprocess.MhcParams(args.lambda_p, args.d)
-    seed = default_seed(args.seed)
     n = DEFAULT_REALIZATIONS[args.check] if args.realizations is None else args.realizations
     if args.check in ("void", "pgfl-bound") and args.r is None:
         raise ParameterError(f"--r is required for {args.check}")
@@ -377,24 +366,29 @@ def _cmd_validate(args) -> int:
     if args.check == "empty-space":
         if not 0 < args.ks_tol < math.inf:
             raise ParameterError("--ks-tol must be finite and > 0")
-        ks = analytics.empty_space_ks(params, n, seed)
+        ks = analytics.empty_space_ks(params, n, args.seed)
         ok = ks.statistic < args.ks_tol
         report = (f"empty-space: KS={ks.statistic:.4f} (n={ks.n_samples}, "
                   f"tol={args.ks_tol:g})")
     elif args.check == "rho2":
+        if args.d == 0:  # the separations span (d, 2d)
+            raise ParameterError("--d must be > 0 for rho2")
         ups = np.linspace(args.d, 2 * args.d, 12)[1:-1]
-        est = analytics.pair_density_empirical(params, ups, n, seed)
+        est = analytics.pair_density_empirical(params, ups, n, args.seed)
         ref = analytics.second_order_density(est.upsilon, params)
         print("upsilon,analytic,empirical,std_err,z")
         worst = 0.0
-        for u, a, e, s in zip(est.upsilon, ref, est.density, est.std_err):
-            z = abs(a - e) / s if s > 0 else math.inf
+        for u, e, s, m, a in zip(*(v.tolist() for v in (*est, ref))):
+            # no spread across realizations (typically no pairs): use the reference's
+            # own Poisson SE; in Python floats an overflowing quotient is inf, quietly
+            se = s or math.sqrt(2.0 * a / (m * n))
+            z = abs(a - e) / se if se else (0.0 if a == e else math.inf)
             worst = max(worst, z)
             print(f"{u:.4f},{a:.5f},{e:.5f},{s:.5f},{z:.2f}")
         ok = worst <= 3.0
         report = f"rho2: worst |z| = {worst:.2f} (limit 3)"
     elif args.check == "void":
-        est = analytics.void_probability_empirical(params, args.r, n, seed)
+        est = analytics.void_probability_empirical(params, args.r, n, args.seed)
         lam_m = analytics.mhc_density(params)
         ref = math.exp(-lam_m * math.pi * args.r ** 2)
         # a share of 0 or 1 has a binomial SE of 0: score it against the reference's own
@@ -407,7 +401,7 @@ def _cmd_validate(args) -> int:
     else:
         ch = coverage.ChannelParams(alpha=args.alpha, sigma2=0.0)
         beta_lin = coverage.beta_db_to_linear(args.beta_db_value)
-        check = bounds.pgfl_bound_check(params, ch, float(beta_lin), args.r, n, seed)
+        check = bounds.pgfl_bound_check(params, ch, float(beta_lin), args.r, n, args.seed)
         ok = check.lhs - check.rhs >= -3.0 * check.gap_se
         report = (f"pgfl-bound: lhs={check.lhs:.4f}+-{check.lhs_se:.4f} "
                   f"rhs={check.rhs:.4f}+-{check.rhs_se:.4f}")
@@ -419,20 +413,18 @@ def _cmd_validate(args) -> int:
 # fit
 
 def _cmd_fit(args) -> int:
-    if args.target is None:
-        raise ParameterError("--target curve CSV is required")
     curves, _ = io.read_curves_csv(args.target)
     label = args.target_label
     target = next((c for c in curves if not label or c.label == label), None)
     if target is None:
         raise DataError(f"no curve labeled {label!r} in {args.target}")
 
-    lam_grid = parse_grid_spec(args.lambda_p_grid or _fail("--lambda-p-grid is required"))
-    d_grid = parse_grid_spec(args.d_grid or _fail("--d-grid is required"))
+    lam_grid = parse_grid_spec(args.lambda_p_grid)
+    d_grid = parse_grid_spec(args.d_grid)
     candidates = [pointprocess.MhcParams(float(lp), float(dd))
                   for lp in lam_grid for dd in d_grid]
     result = coverage.fit_mhc(target, candidates, _channel(args), args.trials,
-                              default_seed(args.seed), threads=args.threads,
+                              args.seed, threads=args.threads,
                               window=_window(args.window) if args.window else None)
     print(f"best lambda_p={result.params.lambda_p:g} d={result.params.d:g} "
           f"mse={result.error:.6g}")
@@ -442,30 +434,26 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _fail(message: str):
-    raise ParameterError(message)
-
-
 # ---------------------------------------------------------------------------
 
-# subcommand -> (help, handler, the dests of its options in parser order,
-# add_argument keywords that override a row's for this subcommand)
+# subcommand -> (help, handler, the dests of its options in parser order, the
+# dests it requires, add_argument keywords that override a row's for this subcommand)
 _COMMANDS = {
     "sample": ("sample a deployment to CSV", _cmd_sample,
-               "process lambda_p d n window edge margin config out seed", {}),
+               "process lambda_p d n window edge margin config out seed", "process", {}),
     "simulate": ("Monte Carlo coverage curve(s)", _cmd_simulate, "source lambda_p d n file "
-                 "beta_db trials threads window edge margin alpha sigma2 p_t config out seed", {}),
+                 "beta_db trials threads window edge margin alpha sigma2 p_t config out seed",
+                 "source", {}),
     "bound": ("quadrature lower bounds on MHC coverage", _cmd_bound, "kind lambda_p d beta_db "
               "n_r n_theta n_upsilon with_sim trials threads window alpha "
-              "sigma2 p_t config out seed", {}),
+              "sigma2 p_t config out seed", "lambda_p d", {}),
     "validate": ("empirical checks of the analytics", _cmd_validate,
-                 "check lambda_p d r alpha beta_db realizations ks_tol seed",
-                 {"lambda_p": dict(required=True), "d": dict(required=True),
-                  "alpha": dict(default=4.0),
-                  "beta_db": dict(dest="beta_db_value", type=float, default=0.0,
+                 "check lambda_p d r alpha beta_db realizations ks_tol seed", "lambda_p d",
+                 {"beta_db": dict(dest="beta_db_value", type=float, default=0.0,
                                   help="threshold for pgfl-bound (dB, default 0)")}),
     "fit": ("fit hardcore parameters to a coverage curve", _cmd_fit, "target target_label "
-            "lambda_p_grid d_grid trials threads window alpha sigma2 p_t config out seed", {}),
+            "lambda_p_grid d_grid trials threads window alpha sigma2 p_t config out seed",
+            "target lambda_p_grid d_grid", {}),
 }
 
 
@@ -483,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spatial point-process deployments, SINR coverage simulation, "
                     "and hardcore coverage bounds.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, func, dests, overrides) in _COMMANDS.items():
+    for name, (help_text, func, dests, _, overrides) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for dest in dests.split():
             opt = OPTIONS[dest]

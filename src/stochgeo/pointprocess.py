@@ -445,16 +445,16 @@ def sample_mhc(params: MhcParams, window: Window, seed: int) -> PointSet:
 
 def _grid_shape(n_points: int, window: Window) -> tuple[int, int]:
     """Lattice shape whose point count is closest to the request, preferring
-    the aspect ratio implied by an ideal spacing of sqrt(area / n)."""
-    spacing = math.sqrt(window.area / n_points)
-    if spacing == 0:
+    the window's aspect ratio: nx is rounded either way from sqrt(n w / h)
+    within [1, n], and ny either way from n / nx."""
+    if window.area / n_points == 0:
         raise ParameterError(f"the spacing of {n_points} grid points underflows to 0")
-    nx0 = window.width / spacing
-    ny0 = window.height / spacing
+    nx0 = min(max(math.sqrt(n_points * (window.width / window.height)), 1.0), n_points)
     candidates = []
-    for nx in {max(1, math.floor(nx0)), max(1, math.ceil(nx0))}:
-        for ny in {max(1, math.floor(ny0)), max(1, math.ceil(ny0))}:
-            mismatch = abs(math.log((window.width / nx) / (window.height / ny)))
+    for nx in {math.floor(nx0), math.ceil(nx0)}:
+        for ny in {n_points // nx, -(-n_points // nx)}:
+            ratio = (window.width / nx) / (window.height / ny)
+            mismatch = abs(math.log(ratio)) if 0 < ratio < math.inf else math.inf
             candidates.append((abs(nx * ny - n_points), mismatch, nx, ny))
     _, _, nx, ny = min(candidates)
     return nx, ny

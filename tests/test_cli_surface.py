@@ -83,10 +83,10 @@ SURFACE = {
     "validate": [
         _HELP,
         ((), "check", None, None, ["empty-space", "rho2", "void", "pgfl-bound"], None, True),
-        (("--lambda-p",), "lambda_p", "float", None, None, None, True),
-        (("--d",), "d", "float", None, None, None, True),
+        (("--lambda-p",), "lambda_p", "float", None, None, None, False),
+        (("--d",), "d", "float", None, None, None, False),
         (("--r",), "r", "float", None, None, None, False),
-        (("--alpha",), "alpha", "float", 4.0, None, None, False),
+        (("--alpha",), "alpha", "float", None, None, None, False),
         (("--beta-db",), "beta_db_value", "float", 0.0, None, None, False),
         (("--realizations",), "realizations", "int", None, None, None, False),
         (("--ks-tol",), "ks_tol", "float", 0.05, None, None, False),

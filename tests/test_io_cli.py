@@ -432,10 +432,6 @@ def test_cli_bound_config_ignores_tail_tol(tmp_path):
     assert "tail_tol" not in read_config(rerun) and "r_max" not in read_config(rerun)
 
 
-def test_cli_bound_tail_tol_flag_is_gone(capsys):
-    assert run(["bound", "--lambda-p", "2", "--d", "0.4", "--tail-tol", "1e-3"]) == 2
-
-
 def test_cli_bound_bad_config_kind_is_a_usage_error(tmp_path, capsys):
     cfg = tmp_path / "k.cfg"
     cfg.write_text("lambda_p=3\nd=0.5\nkind=foo\n")
@@ -607,36 +603,63 @@ def test_cli_validate_rho2_passes_where_squared_densities_underflow(capsys):
     assert all(float(row.split(",")[4]) <= 3.0 for row in lines[1:-1])
 
 
-@pytest.mark.parametrize("factor", ["0", "-1", "nan", "inf"])
-def test_cli_bound_bad_quad_scale_is_a_usage_error(factor, capsys):
-    # no such flag: doubling --n-r, --n-theta and --n-upsilon refines every grid
-    assert run(["bound", "--lambda-p", "3", "--d", "0.5", f"--quad-scale={factor}"]) == 2
-    assert "unrecognized arguments: --quad-scale" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("argv", [
-    ["bound", "--lambda-p", "3", "--d", "0.5", "--quad-scale", "2"],
-    ["bound", "--lambda-p", "3", "--d", "0.5", "--n-theta", "2049"],
-    ["bound", "--lambda-p", "3", "--d", "0.5", "--n-theta", "7"],
-    ["bound", "--lambda-p", "3", "--d", "0.5", "--n-theta", "1e3"],
-    ["bound", "--kind", "both3"],
-    ["validate", "rho2"],
-    ["nosuch"],
-    [],
-    ["bound", "--lambda-p", "3", "--d", "0.5", "--r-max", "1e200"],
+# (argv, a substring of the error line or None)
+USAGE_ERRORS = [
+    (["bound", "--lambda-p", "3", "--d", "0.5", "--quad-scale", "2"], None),
+    (["bound", "--lambda-p", "3", "--d", "0.5", "--n-theta", "2049"], None),
+    (["bound", "--lambda-p", "3", "--d", "0.5", "--n-theta", "7"], None),
+    (["bound", "--lambda-p", "3", "--d", "0.5", "--n-theta", "1e3"], None),
+    (["bound", "--kind", "both3"], None),
+    (["validate", "rho2"], None),
+    (["nosuch"], None),
+    ([], None),
+    (["bound", "--lambda-p", "3", "--d", "0.5", "--r-max", "1e200"], None),
     # squared distances across this window would overflow
-    ["simulate", "--source", "grid:n=4", "--window", "1e200x1e200", "--trials", "10"],
+    (["simulate", "--source", "grid:n=4", "--window", "1e200x1e200", "--trials", "10"], None),
     # the rho2 bin areas, torus area * 2 pi u * 2h, would overflow
-    ["validate", "rho2", "--lambda-p", "1", "--d", "1e100"],
-    ["validate", "rho2", "--lambda-p", "1e-300", "--d", "1e8"],
+    (["validate", "rho2", "--lambda-p", "1", "--d", "1e100"], None),
+    (["validate", "rho2", "--lambda-p", "1e-300", "--d", "1e8"], None),
     # r must be finite: an infinite one would size an infinite torus
-    ["validate", "void", "--lambda-p", "1", "--d", "0.5", "--r", "inf"],
-    ["validate", "pgfl-bound", "--lambda-p", "1", "--d", "0.5", "--r", "inf"],
-])
-def test_cli_usage_error_is_one_error_line(argv, capsys):
+    (["validate", "void", "--lambda-p", "1", "--d", "0.5", "--r", "inf"], None),
+    (["validate", "pgfl-bound", "--lambda-p", "1", "--d", "0.5", "--r", "inf"], None),
+    # flags that are gone: the far field has no tail cut, and doubling --n-r,
+    # --n-theta and --n-upsilon refines every grid
+    (["bound", "--lambda-p", "2", "--d", "0.4", "--tail-tol", "1e-3"],
+     "unrecognized arguments: --tail-tol"),
+    *[(["bound", "--lambda-p", "3", "--d", "0.5", f"--quad-scale={factor}"],
+       "unrecognized arguments: --quad-scale") for factor in ["0", "-1", "nan", "inf"]],
+    # the user gives no separations: rho2 builds them in (d, 2d)
+    (["validate", "rho2", "--lambda-p", "1", "--d", "0"], "--d must be > 0"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS,
+                         ids=[f"argv{i}" for i in range(len(USAGE_ERRORS))])
+def test_cli_usage_error_is_one_error_line(argv, message, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert message is None or message in err
+
+
+# (argv with one required input missing, the flag the error names)
+MISSING_INPUTS = [
+    (["sample", "--window", "10x10"], "process"),
+    (["simulate", "--trials", "1"], "--source"),
+    (["bound", "--d", "0.5"], "--lambda-p"),
+    (["bound", "--lambda-p", "3"], "--d"),
+    (["validate", "void", "--d", "0.5", "--r", "1"], "--lambda-p"),
+    (["validate", "empty-space", "--lambda-p", "1"], "--d"),
+    (["fit", "--lambda-p-grid", "2", "--d-grid", "0.4"], "--target"),
+    (["fit", "--target", str(GOLDEN_CURVE), "--d-grid", "0.4"], "--lambda-p-grid"),
+    (["fit", "--target", str(GOLDEN_CURVE), "--lambda-p-grid", "2"], "--d-grid"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", MISSING_INPUTS)
+def test_cli_missing_required_input_names_its_flag(argv, flag, capsys):
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {flag} is required\n"
 
 
 def test_cli_help_is_unchanged_by_the_one_line_errors(capsys):
@@ -728,15 +751,33 @@ def test_cli_fit_empty_grid(capsys, tmp_path):
     assert code == 2
 
 
-def test_env_seed_default(tmp_path, monkeypatch):
+def test_env_seed_default(tmp_path, monkeypatch, capsys):
+    # the seed's precedence: --seed, then --config, then $STOCHGEO_SEED, then 0
+    sample = ["sample", "ppp", "--lambda-p", "1", "--window", "10x10"]
+    (tmp_path / "seed.cfg").write_text("seed=7\n")
+
+    def seed_of(*argv):
+        out = tmp_path / "out.csv"
+        assert run([*sample, *argv, "-o", str(out)]) == 0
+        return read_config(out)["seed"]
+
+    assert seed_of() == "0"
     monkeypatch.setenv("STOCHGEO_SEED", "123")
+    assert seed_of() == "123"
+    assert seed_of("--seed", "5") == "5"
+    assert seed_of("--config", str(tmp_path / "seed.cfg")) == "7"
+    assert seed_of("--config", str(tmp_path / "seed.cfg"), "--seed", "5") == "5"
     out1 = tmp_path / "e1.csv"
     out2 = tmp_path / "e2.csv"
-    assert run(["sample", "ppp", "--lambda-p", "1", "--window", "10x10",
-                "-o", str(out1)]) == 0
-    assert run(["sample", "ppp", "--lambda-p", "1", "--window", "10x10",
-                "--seed", "123", "-o", str(out2)]) == 0
+    assert run([*sample, "-o", str(out1)]) == 0
+    assert run([*sample, "--seed", "123", "-o", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    capsys.readouterr()
+    # a bad STOCHGEO_SEED is a usage error only where the seed is read
+    monkeypatch.setenv("STOCHGEO_SEED", "12x")
+    assert run(sample) == 2
+    assert capsys.readouterr().err == "error: bad seed value '12x' in STOCHGEO_SEED\n"
+    assert seed_of("--seed", "5") == "5"
 
 
 def test_cli_validate_empty_space(capsys):
@@ -994,17 +1035,68 @@ EXTREME_COMMANDS = {
 }
 
 
+def assert_ends_cleanly(argv, capsys):
+    """One run ends cleanly: exit 0; or a failed check's FAIL line (exit 1);
+    or one `error:` line (exit 1 or 2). Never a traceback or a RuntimeWarning,
+    and no NaN or inf in a data row."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run(argv)
+    out, err = capsys.readouterr()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
+    rows = [line for line in out.splitlines() if not line.startswith("#")]
+    assert not [row for row in rows if re.search(r"\b(nan|inf)\b", row, re.IGNORECASE)], argv
+    if rc == 0 or (rc == 1 and "\nFAIL " in "\n" + out):
+        assert err == "", argv
+    else:
+        assert rc in (1, 2) and err.startswith("error: ") and err.count("\n") == 1, argv
+
+
 @pytest.mark.parametrize("command", list(EXTREME_COMMANDS))
 @pytest.mark.parametrize("flag, value", CHANNEL_EXTREMES)
 def test_cli_channel_extremes_end_cleanly(command, flag, value, capsys):
     # a subcommand without the flag ends in a usage error, like any other
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc = run(EXTREME_COMMANDS[command] + [f"{flag}={value}", "--seed", "1"])
-    out, err = capsys.readouterr()
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert not re.search(r"\bnan\b", out, re.IGNORECASE)
-    if rc == 0 or (rc == 1 and out.startswith("FAIL pgfl-bound")):
-        assert err == ""
-    else:
-        assert rc in (1, 2) and err.startswith("error: ") and err.count("\n") == 1
+    assert_ends_cleanly(EXTREME_COMMANDS[command] + [f"{flag}={value}", "--seed", "1"], capsys)
+
+
+# Hardcore parameters across the floats, on every command that draws MHC
+# realizations; each runs at every (lambda_p, d) in SWEEP_LAMBDA_P x SWEEP_D.
+HARDCORE_COMMANDS = {
+    "simulate": ["simulate", "--source", "mhc", "--beta-db", "0", "--trials", "2",
+                 "--threads", "1"],
+    "sample": ["sample", "mhc", "--window", "4x4"],
+    **{check: ["validate", check, "--r", "1", "--realizations", "20"]
+       for check in ("empty-space", "rho2", "void")},
+    "pgfl-bound": ["validate", "pgfl-bound", "--r", "1", "--realizations", "100"],
+}
+
+
+@pytest.mark.parametrize("command", list(HARDCORE_COMMANDS))
+def test_cli_hardcore_parameters_across_the_floats_end_cleanly(command, capsys):
+    for lambda_p in SWEEP_LAMBDA_P:
+        for d in SWEEP_D:
+            assert_ends_cleanly(HARDCORE_COMMANDS[command] + [
+                "--lambda-p", repr(lambda_p), "--d", repr(d), "--seed", "1"], capsys)
+
+
+# Windows across the floats for the fixed and Poisson deployments: each side
+# in SWEEP_SIDES, squared diagonals that overflow and areas that underflow included.
+SWEEP_SIDES = ["1e-300", "1e-100", "1e-10", "1", "1e10", "1e100", "1e300"]
+WINDOW_COMMANDS = {
+    "sample-grid": ["sample", "grid", "--n", "4"],
+    "simulate-grid": ["simulate", "--source", "grid", "--n", "4", "--beta-db", "0",
+                      "--trials", "2", "--threads", "1"],
+    "simulate-grid-guard": ["simulate", "--source", "grid", "--n", "4", "--edge", "guard",
+                            "--beta-db", "0", "--trials", "2", "--threads", "1"],
+    "sample-ppp": ["sample", "ppp", "--lambda-p", "1"],
+    "simulate-ppp": ["simulate", "--source", "ppp", "--lambda-p", "1", "--beta-db", "0",
+                     "--trials", "2", "--threads", "1"],
+}
+
+
+@pytest.mark.parametrize("command", list(WINDOW_COMMANDS))
+def test_cli_windows_across_the_floats_end_cleanly(command, capsys):
+    for width in SWEEP_SIDES:
+        for height in SWEEP_SIDES:
+            assert_ends_cleanly(WINDOW_COMMANDS[command] + [
+                "--window", f"{width}x{height}", "--seed", "1"], capsys)

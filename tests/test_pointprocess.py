@@ -510,6 +510,34 @@ def test_grid_nearest_realizable_count_warns():
     assert len(ps) == 6
 
 
+@pytest.mark.parametrize("n, width, height, shape", [
+    (4, 10, 1, (4, 1)),
+    (4, 1, 100, (1, 4)),
+    (8, 10, 10, (2, 4)),
+    (24, 10, 10, (4, 6)),
+    (12, 100, 80, (4, 3)),
+    # sqrt(n w / h) is far below 1 or far above n: one axis holds every point
+    (4, 1, 1e100, (1, 4)),
+    (4, 1e-300, 1e150, (1, 4)),
+    (4, 1e150, 1e-300, (4, 1)),
+])
+def test_grid_shape_of_elongated_and_square_windows(n, width, height, shape):
+    assert _grid_shape(n, Window(width, height)) == shape
+    assert len(generate_grid(n, Window(width, height))) == n
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 400), log_w=st.floats(-3, 3), log_h=st.floats(-3, 3))
+def test_grid_shape_is_the_best_over_its_candidate_columns(n, log_w, log_h):
+    # for each candidate column count, no row count comes closer to n, or as
+    # close with a better-matched aspect ratio
+    win = Window(10.0 ** log_w, 10.0 ** log_h)
+    nx0 = min(max(math.sqrt(n * win.width / win.height), 1.0), n)
+    best = min((abs(nx * ny - n), abs(math.log((win.width / nx) / (win.height / ny))), nx, ny)
+               for nx in {math.floor(nx0), math.ceil(nx0)} for ny in range(1, 2 * n + 1))
+    assert _grid_shape(n, win) == best[2:]
+
+
 def test_grid_invalid_count():
     with pytest.raises(ParameterError):
         generate_grid(0, Window(10, 10))
