@@ -25,12 +25,12 @@ over {R >= r}, which has a closed form in one 2F1
 and serving distance, and each threshold costs two dot products over R.
 
 The near weight is an integral over psi of rho2, taken at every radial node
-by an n_theta-node Gauss-Legendre rule on [psi_d, psi_2d]. rho2 has a
+by a fixed 10-node Gauss-Legendre rule on [psi_d, psi_2d]. rho2 has a
 (2d - upsilon)^(3/2) edge at psi_2d, where plain Gauss-Legendre converges only
 as n^-5, so the rule runs in s with psi = psi_2d - span s^2: the edge becomes
-a polynomial in s. The 10 default nodes (at least 8) sit within 1.3e-9 relative
-of the curves at 512 nodes; the R and r trapezoids hold the larger errors,
-about 6e-5 and 4e-5.
+a polynomial in s. The 10 nodes sit within 3e-9 relative of the curves at 512
+nodes for kappa from 3e-12 to 3e5; the R and r trapezoids hold the larger
+errors, about 6e-5 and 4e-5.
 
 rho2 depends on upsilon/d and kappa alone, so it is tabulated at
 RHO2_TABLE_INTERVALS + 1 nodes equally spaced in (upsilon/d)^2 over [1, 4] and
@@ -48,7 +48,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple, Sequence
+from typing import ClassVar, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,8 +60,6 @@ from .pointprocess import R_MIN_KM, MhcParams, MhcSource, _check_count, _check_s
 
 # Intervals of the pair-density table over the band d^2 <= upsilon^2 <= 4d^2.
 RHO2_TABLE_INTERVALS = 2048
-# Most angular nodes: the Gauss-Legendre rule solves a dense n x n eigenproblem.
-MAX_N_THETA = 2048
 # Terms of each _hyp2f1 series; every term is at most 2/3 of the one before.
 HYP2F1_TERMS = 96
 # Largest serving distance, in mean spacings: it leaves CDF mass e^-25 behind.
@@ -77,24 +75,22 @@ class BoundKind(str, Enum):
 class QuadConfig:
     """Grid resolutions for the bound integrals.
 
-    n_r points for the serving distance (clustered near 0), n_upsilon
+    n_r points for the serving distance (clustered near 0) and n_upsilon
     log-spaced radial nodes for the user-to-interferer distance R on
-    [max(r, d - r), r + 2d], and n_theta Gauss-Legendre angular nodes per
-    radial node across the near shell, in s with psi = psi_2d - span s^2 so
-    that they crowd toward rho2's (2d - upsilon)^(3/2) edge (8 to MAX_N_THETA;
-    the default 10 is within 1.3e-9 relative of 512).
+    [max(r, d - r), r + 2d]. Across the near shell every radial node takes
+    the fixed n_theta Gauss-Legendre angular nodes, in s with
+    psi = psi_2d - span s^2 so that they crowd toward rho2's
+    (2d - upsilon)^(3/2) edge: 10 are within 3e-9 relative of 512.
     """
 
     n_r: int = 128
-    n_theta: int = 10
     n_upsilon: int = 256
+    n_theta: ClassVar[int] = 10
 
     def __post_init__(self):
-        for name, least in (("n_r", 16), ("n_theta", 8), ("n_upsilon", 16)):
-            if getattr(self, name) < least:
-                raise ParameterError(f"{name} must be >= {least}")
-        if self.n_theta > MAX_N_THETA:
-            raise ParameterError(f"n_theta must be <= {MAX_N_THETA}")
+        for name in ("n_r", "n_upsilon"):
+            if getattr(self, name) < 16:
+                raise ParameterError(f"{name} must be >= 16")
 
 
 class ExponentResult(NamedTuple):

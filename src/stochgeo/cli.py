@@ -118,7 +118,6 @@ OPTIONS = {opt.flag.split()[-1].lstrip("-").replace("-", "_"): opt for opt in [
     Option("--kind", "kind", lambda v: v if v == "both" else bounds.BoundKind(v).value,
            "both", extra=dict(choices=["theorem1", "proposition1", "both"])),
     Option("--n-r", "n_r", int, bounds.QuadConfig.n_r),
-    Option("--n-theta", "n_theta", int, bounds.QuadConfig.n_theta),
     Option("--n-upsilon", "n_upsilon", int, bounds.QuadConfig.n_upsilon),
     Option("--with-sim", "with_sim", int, 0, "also simulate the process and report the gap",
            dict(action="store_true")),
@@ -322,34 +321,30 @@ def _cmd_bound(args) -> int:
     params = pointprocess.MhcParams(args.lambda_p, args.d)
     ch = _channel(args)
     beta_db = parse_grid_spec(args.beta_db)
-    quad = bounds.QuadConfig(n_r=args.n_r, n_theta=args.n_theta, n_upsilon=args.n_upsilon)
+    quad = bounds.QuadConfig(n_r=args.n_r, n_upsilon=args.n_upsilon)
     kinds = list(bounds.BoundKind) if args.kind == "both" else [bounds.BoundKind(args.kind)]
 
-    seed = trials = None
-    with_sim = bool(args.with_sim)
-    if with_sim:  # check the simulation's inputs before the quadrature runs
-        seed, trials = args.seed, args.trials
-        coverage._check_run(ch, trials, args.threads)
+    sim = None
+    if args.with_sim:  # first, so that its inputs are checked before the quadrature runs
+        win = _window(args.window or None, default_side=analytics.default_torus(params).width)
+        sim = coverage.simulate_coverage(pointprocess.MhcSource(params, win), ch,
+                                         beta_db, args.trials, args.seed,
+                                         threads=args.threads, label="simulated")
 
     curves = bounds.coverage_bounds(kinds, ch, params, beta_db, quad)
 
     gaps = None
-    if with_sim:
-        win = _window(args.window or None, default_side=analytics.default_torus(params).width)
-        sim = coverage.simulate_coverage(pointprocess.MhcSource(params, win), ch,
-                                         beta_db, trials, seed, threads=args.threads,
-                                         label="simulated")
+    if sim:
         gaps = {c.label: sim.p_c - c.p_c for c in curves}
-        curves.append(sim)
-        for c in curves[:-1]:
+        for c in curves:
             mean_gap = float(np.mean(np.abs(gaps[c.label])))
             print(f"mean |simulated - {c.label}| = {mean_gap:.4f}")
+        curves.append(sim)
 
     config = _record("bound", lambda_p=args.lambda_p, d=args.d, window=args.window,
                      alpha=ch.alpha, sigma2=ch.sigma2, p_t=ch.p_t, beta_db=args.beta_db,
-                     kind=args.kind, n_r=quad.n_r, n_theta=quad.n_theta,
-                     n_upsilon=quad.n_upsilon, trials=trials, seed=seed,
-                     with_sim=1 if with_sim else None)
+                     kind=args.kind, n_r=quad.n_r, n_upsilon=quad.n_upsilon,
+                     **(dict(trials=args.trials, seed=args.seed, with_sim=1) if sim else {}))
     _emit(args.out, io.curves_csv_text(curves, config, gaps))
     return 0
 
@@ -384,7 +379,7 @@ def _cmd_validate(args) -> int:
             se = s or math.sqrt(2.0 * a / (m * n))
             z = abs(a - e) / se if se else (0.0 if a == e else math.inf)
             worst = max(worst, z)
-            print(f"{u:.4f},{a:.5f},{e:.5f},{s:.5f},{z:.2f}")
+            print(f"{u:.5g},{a:.5g},{e:.5g},{s:.5g},{z:.2f}")
         ok = worst <= 3.0
         report = f"rho2: worst |z| = {worst:.2f} (limit 3)"
     elif args.check == "void":
@@ -445,7 +440,7 @@ _COMMANDS = {
                  "beta_db trials threads window edge margin alpha sigma2 p_t config out seed",
                  "source", {}),
     "bound": ("quadrature lower bounds on MHC coverage", _cmd_bound, "kind lambda_p d beta_db "
-              "n_r n_theta n_upsilon with_sim trials threads window alpha "
+              "n_r n_upsilon with_sim trials threads window alpha "
               "sigma2 p_t config out seed", "lambda_p d", {}),
     "validate": ("empirical checks of the analytics", _cmd_validate,
                  "check lambda_p d r alpha beta_db realizations ks_tol seed", "lambda_p d",

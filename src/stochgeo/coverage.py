@@ -225,7 +225,7 @@ def simulate_curves(sources: Sequence, ch: ChannelParams, beta_db: Sequence[floa
         w, h, density = source.window.width, source.window.height, source.mean_density
         min_side = MIN_WINDOW_SPACINGS / math.sqrt(density) if density > 0 else 0.0
         if min(w, h) < min_side:
-            warnings.warn(f"{tag}window {w:g}x{h:g} is narrower than {min_side:.1f} km "
+            warnings.warn(f"{tag}window {w:g}x{h:g} is narrower than {min_side:.3g} km "
                           f"({MIN_WINDOW_SPACINGS:g} mean spacings); interference "
                           "truncation bias may exceed Monte Carlo noise", stacklevel=2)
 

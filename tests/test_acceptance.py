@@ -178,16 +178,18 @@ def test_criterion_08_ppp_limit_consistency():
            f"max |z| = {z.max():.2f} over {len(beta_db)} thresholds (limit 3)")
 
 
-def test_criterion_09_quadrature_stability():
+def test_criterion_09_quadrature_stability(monkeypatch):
     params = sg.MhcParams(3.0, 0.5)
     beta_db = [10.0, 15.0, 20.0]
-    base = sg.QuadConfig()
-    # n_r and n_upsilon doubled, n_theta at the converged 512 of the angular-rule tests
-    fine = sg.QuadConfig(n_r=256, n_theta=512, n_upsilon=512)
     kinds = list(sg.BoundKind)
+    base = sg.coverage_bounds(kinds, CH, params, beta_db, sg.QuadConfig())
+    # n_r and n_upsilon doubled, n_theta at the converged 512 of the angular-rule tests
+    with monkeypatch.context() as m:
+        m.setattr(sg.QuadConfig, "n_theta", 512)
+        fine = sg.coverage_bounds(kinds, CH, params, beta_db,
+                                  sg.QuadConfig(n_r=256, n_upsilon=512))
     worst = 0.0
-    for a, b in zip(sg.coverage_bounds(kinds, CH, params, beta_db, base),
-                    sg.coverage_bounds(kinds, CH, params, beta_db, fine)):
+    for a, b in zip(base, fine):
         worst = max(worst, float(np.max(np.abs(a.p_c - b.p_c) / b.p_c)))
     ok = worst < 0.005
     report(9, "quadrature stability", ok,
@@ -224,8 +226,8 @@ def test_criterion_11_cli_determinism(tmp_path):
     b1 = tmp_path / "b1.csv"
     b2 = tmp_path / "b2.csv"
     rc3 = cli_main(["bound", "--kind", "both", "--lambda-p", "3", "--d", "0.5",
-                    "--beta-db", "10:5:20", "--n-r", "32", "--n-theta", "64",
-                    "--n-upsilon", "64", "-o", str(b1)])
+                    "--beta-db", "10:5:20", "--n-r", "32", "--n-upsilon", "64",
+                    "-o", str(b1)])
     rc4 = cli_main(["bound", "--config", str(b1), "-o", str(b2)])
     bound_ok = rc3 == 0 and rc4 == 0 and numeric(b1) == numeric(b2)
 

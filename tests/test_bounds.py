@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -53,19 +54,13 @@ def kernel(kind, r, R, beta_linear, alpha):
 def test_quadconfig_validation_and_scaling():
     with pytest.raises(ParameterError):
         QuadConfig(n_r=8)
-    with pytest.raises(ParameterError, match="n_theta must be >= 8"):
-        QuadConfig(n_theta=7)
-    assert QuadConfig(n_theta=8).n_theta == 8
-
-
-def test_quadconfig_caps_n_theta_before_any_node_is_built(monkeypatch):
-    def rule(n):
-        raise AssertionError("angular nodes built for a rejected n_theta")
-
-    monkeypatch.setattr(bounds, "_angular_rule", rule)
-    with pytest.raises(ParameterError, match="n_theta"):
-        QuadConfig(n_theta=bounds.MAX_N_THETA + 1)
-    assert QuadConfig(n_theta=bounds.MAX_N_THETA).n_theta == bounds.MAX_N_THETA
+    with pytest.raises(ParameterError, match="n_upsilon must be >= 16"):
+        QuadConfig(n_upsilon=15)
+    # the angular rule is fixed: no field sets it
+    assert [f.name for f in dataclasses.fields(QuadConfig)] == ["n_r", "n_upsilon"]
+    assert QuadConfig().n_theta == 10 and not hasattr(bounds, "MAX_N_THETA")
+    with pytest.raises(TypeError):
+        QuadConfig(n_theta=16)
 
 
 def test_angular_rule_is_built_once_and_read_only():
@@ -315,16 +310,17 @@ ANGULAR_BETA_DB = np.arange(-10.0, 21.0, 5.0)
 
 
 @pytest.mark.parametrize("lambda_p,d", ANGULAR_CASES)
-def test_bound_angular_rule_is_converged(lambda_p, d):
-    # the 10 default nodes against 512 on the same R and r grids: the measured
+def test_bound_angular_rule_is_converged(lambda_p, d, monkeypatch):
+    # the 10 fixed nodes against 512 on the same R and r grids: the measured
     # gap is at most 1.2e-9 relative
     params = MhcParams(lambda_p, d)
     worst = 0.0
     for alpha in (2.5, 4.0, 6.0):
         ch = ChannelParams(alpha=alpha, sigma2=0.1)
         got = coverage_bounds(list(BoundKind), ch, params, ANGULAR_BETA_DB)
-        ref = coverage_bounds(list(BoundKind), ch, params, ANGULAR_BETA_DB,
-                              QuadConfig(n_theta=512))
+        with monkeypatch.context() as m:
+            m.setattr(QuadConfig, "n_theta", 512)
+            ref = coverage_bounds(list(BoundKind), ch, params, ANGULAR_BETA_DB)
         for g, r in zip(got, ref):
             worst = max(worst, float(np.max(np.abs(g.p_c - r.p_c) / r.p_c)))
     assert worst <= 1e-8
@@ -339,9 +335,10 @@ def test_bound_angular_rule_matches_the_trapezoid_rule(lambda_p, d, monkeypatch)
     new = {alpha: coverage_bounds(list(BoundKind), ChannelParams(alpha=alpha, sigma2=0.1),
                                   params, ANGULAR_BETA_DB) for alpha in alphas}
     monkeypatch.setattr(bounds, "_angular_rule", trapezoid_rule)
+    monkeypatch.setattr(QuadConfig, "n_theta", 256)
     for alpha in alphas:
         ref = coverage_bounds(list(BoundKind), ChannelParams(alpha=alpha, sigma2=0.1), params,
-                              ANGULAR_BETA_DB, QuadConfig(n_theta=256))
+                              ANGULAR_BETA_DB)
         for got, want in zip(new[alpha], ref):
             assert np.max(np.abs(got.p_c - want.p_c) / want.p_c) <= 2e-7
 

@@ -28,7 +28,7 @@ from stochgeo.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "cli"
 
-QUAD = ["--n-r", "32", "--n-theta", "32", "--n-upsilon", "32"]
+QUAD = ["--n-r", "32", "--n-upsilon", "32"]
 
 # (name, argv); a case that writes with -o writes to <name>.csv
 CASES = [

@@ -3,7 +3,8 @@
 The snapshot pins, for every subcommand of `build_parser()`, each action's
 option strings, dest, type, default, choices, nargs and required flag, so a
 refactor of how the parser is built cannot add, drop or alter an option
-unnoticed. The parity tests run the config keys whose names differ from
+unnoticed. Every key an output records must be one its command reads back.
+The parity tests run the config keys whose names differ from
 their flags (`file`, `n_points`, and fit's `lambda_p` and `d` grids) from a
 config file and compare the bytes with the golden flag runs.
 """
@@ -13,12 +14,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import re
 import shutil
 from pathlib import Path
 
 import pytest
 
-from stochgeo.cli import build_parser, main
+from stochgeo.cli import OPTIONS, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden" / "cli"
 
@@ -71,7 +73,6 @@ SURFACE = {
         (("--d",), "d", "float", None, None, None, False),
         (("--beta-db",), "beta_db", None, None, None, None, False),
         (("--n-r",), "n_r", "int", None, None, None, False),
-        (("--n-theta",), "n_theta", "int", None, None, None, False),
         (("--n-upsilon",), "n_upsilon", "int", None, None, None, False),
         (("--with-sim",), "with_sim", None, False, None, 0, False),
         (("--trials",), "trials", "int", None, None, None, False),
@@ -132,6 +133,17 @@ def test_parser_surface_matches_snapshot(command):
         kind = ACTION_KINDS.get((command, a.dest))
         if kind is not None:
             assert type(a).__name__ == kind
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.iterdir()), ids=lambda p: p.name)
+def test_every_recorded_key_reruns(path):
+    # --config silently drops a key that no option of the command reads, so a
+    # recorded key whose flag is gone would not rerun what the output records
+    recorded = dict(re.findall(r"^# (\w+)=(.*)$", path.read_text(encoding="utf-8"), re.M))
+    if recorded:
+        actions = _subparsers()[recorded["scenario"]]._actions
+        reads = {OPTIONS[a.dest].key for a in actions if a.dest in OPTIONS}
+        assert set(recorded) - reads <= {"scenario", "provenance"}
 
 
 def _run(argv) -> tuple[int, bytes]:

@@ -441,6 +441,14 @@ def test_warnings_name_their_source_when_several_run():
         simulate_coverage(sources[0], ch, [0.0], 50, 1, threads=1)
     assert str(caught[0].message).startswith("window 4x4 is narrower than")
     assert len(caught) == 2 and not any(sources[0].label in str(w.message) for w in caught)
+    # the 20-spacing width reads right at every scale: for 4 stations it is
+    # 1e-149 km on 1e-300 x 1 and 1e51 km on 1 x 1e100
+    for (w, h), width in (((1e-300, 1.0), "1e-149"), ((1.0, 1e100), "1e+51")):
+        grid = FixedSource(generate_grid(4, Window(w, h)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            simulate_coverage(grid, ch, [0.0], 2, 1, threads=1)
+        assert f"is narrower than {width} km (20 mean spacings)" in str(caught[0].message)
 
 
 def test_negative_threads_and_huge_counts_rejected():

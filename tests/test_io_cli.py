@@ -106,8 +106,7 @@ def test_config_lines_round_trip_through_parse_kv_comments(scenario, values):
 def test_config_keys_are_recorded_in_a_fixed_order():
     assert list(_CONFIG_VALUES) == [
         "source", "file", "lambda_p", "d", "n_points", "window", "edge", "margin", "alpha",
-        "sigma2", "p_t", "beta_db", "trials", "seed", "kind", "n_r", "n_theta", "n_upsilon",
-        "with_sim"]
+        "sigma2", "p_t", "beta_db", "trials", "seed", "kind", "n_r", "n_upsilon", "with_sim"]
 
 
 def test_parse_kv_comments_ignores_data_rows():
@@ -397,8 +396,8 @@ def test_cli_simulate_multiple_sources(tmp_path):
 def test_cli_bound_row_count(tmp_path):
     out = tmp_path / "b.csv"
     assert run(["bound", "--kind", "both", "--lambda-p", "3", "--d", "0.5",
-                "--beta-db", "10:1:20", "--n-r", "32", "--n-theta", "64",
-                "--n-upsilon", "64", "-o", str(out)]) == 0
+                "--beta-db", "10:1:20", "--n-r", "32", "--n-upsilon", "64",
+                "-o", str(out)]) == 0
     curves, config = read_curves_csv(out)
     labels = {c.label for c in curves}
     assert labels == {"theorem1", "proposition1"}
@@ -410,26 +409,25 @@ def test_cli_bound_rerun_bit_identical(tmp_path):
     out1 = tmp_path / "b1.csv"
     out2 = tmp_path / "b2.csv"
     args = ["bound", "--kind", "proposition1", "--lambda-p", "2", "--d", "0.4",
-            "--beta-db", "0:5:10", "--n-r", "32", "--n-theta", "64",
-            "--n-upsilon", "64"]
+            "--beta-db", "0:5:10", "--n-r", "32", "--n-upsilon", "64"]
     assert run(args + ["-o", str(out1)]) == 0
     assert run(["bound", "--config", str(out1), "-o", str(out2)]) == 0
     assert numeric_lines(out1) == numeric_lines(out2)
 
 
 def test_cli_bound_config_ignores_tail_tol(tmp_path):
-    # configs written before the far field went closed form carry tail_tol, and
-    # older bound configs r_max
+    # configs written before the far field went closed form carry tail_tol, older
+    # bound configs r_max, and those before the angular rule was fixed n_theta
     args = ["bound", "--kind", "proposition1", "--lambda-p", "2", "--d", "0.4",
-            "--beta-db", "0:5:10", "--n-r", "16", "--n-theta", "32", "--n-upsilon", "32"]
+            "--beta-db", "0:5:10", "--n-r", "16", "--n-upsilon", "32"]
     fresh = tmp_path / "fresh.csv"
     assert run(args + ["-o", str(fresh)]) == 0
     old = tmp_path / "old.csv"
-    old.write_text("# tail_tol=0.001\n# r_max=1e100\n" + fresh.read_text())
+    old.write_text("# tail_tol=0.001\n# r_max=1e100\n# n_theta=32\n" + fresh.read_text())
     rerun = tmp_path / "rerun.csv"
     assert run(["bound", "--config", str(old), "-o", str(rerun)]) == 0
     assert numeric_lines(rerun) == numeric_lines(fresh)
-    assert "tail_tol" not in read_config(rerun) and "r_max" not in read_config(rerun)
+    assert not {"tail_tol", "r_max", "n_theta"} & set(read_config(rerun))
 
 
 def test_cli_bound_bad_config_kind_is_a_usage_error(tmp_path, capsys):
@@ -508,7 +506,7 @@ def test_cli_overflowing_or_underflowing_scale_is_a_usage_error(argv, message, c
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
-SMALL_QUAD = ["--n-r", "16", "--n-theta", "16", "--n-upsilon", "16"]
+SMALL_QUAD = ["--n-r", "16", "--n-upsilon", "16"]
 
 
 def bound_p_c(argv, capsys):
@@ -603,12 +601,26 @@ def test_cli_validate_rho2_passes_where_squared_densities_underflow(capsys):
     assert all(float(row.split(",")[4]) <= 3.0 for row in lines[1:-1])
 
 
+def test_cli_validate_rho2_table_keeps_its_digits_at_every_scale(capsys):
+    # the separations span (1e-100, 2e-100): printed to fixed decimals they all read 0
+    assert run(["validate", "rho2", "--lambda-p", "1", "--d", "1e-100",
+                "--realizations", "20"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:-1]
+    upsilon = [float(row.split(",")[0]) for row in rows]
+    assert len(set(upsilon)) == len(rows) == 10 and all(1e-100 < u < 2e-100 for u in upsilon)
+
+
 # (argv, a substring of the error line or None)
 USAGE_ERRORS = [
     (["bound", "--lambda-p", "3", "--d", "0.5", "--quad-scale", "2"], None),
-    (["bound", "--lambda-p", "3", "--d", "0.5", "--n-theta", "2049"], None),
-    (["bound", "--lambda-p", "3", "--d", "0.5", "--n-theta", "7"], None),
-    (["bound", "--lambda-p", "3", "--d", "0.5", "--n-theta", "1e3"], None),
+    # the angular rule is fixed at its converged 10 nodes: --n-theta is gone in
+    # every spelling and for every value, in range or not
+    (["bound", "--lambda-p", "3", "--d", "0.5", "--n-theta", "16"],
+     "unrecognized arguments: --n-theta"),
+    (["bound", "--lambda-p", "3", "--d", "0.5", "--n-theta=7"],
+     "unrecognized arguments: --n-theta=7"),
+    (["bound", "--lambda-p", "3", "--d", "0.5", "--n-theta", "1e3"],
+     "unrecognized arguments: --n-theta 1e3"),
     (["bound", "--kind", "both3"], None),
     (["validate", "rho2"], None),
     (["nosuch"], None),
@@ -622,8 +634,8 @@ USAGE_ERRORS = [
     # r must be finite: an infinite one would size an infinite torus
     (["validate", "void", "--lambda-p", "1", "--d", "0.5", "--r", "inf"], None),
     (["validate", "pgfl-bound", "--lambda-p", "1", "--d", "0.5", "--r", "inf"], None),
-    # flags that are gone: the far field has no tail cut, and doubling --n-r,
-    # --n-theta and --n-upsilon refines every grid
+    # flags that are gone: the far field has no tail cut, and doubling --n-r
+    # and --n-upsilon refines every grid
     (["bound", "--lambda-p", "2", "--d", "0.4", "--tail-tol", "1e-3"],
      "unrecognized arguments: --tail-tol"),
     *[(["bound", "--lambda-p", "3", "--d", "0.5", f"--quad-scale={factor}"],
@@ -678,7 +690,7 @@ def test_cli_bound_with_sim_gap_column(tmp_path, capsys):
     out = tmp_path / "bs.csv"
     assert run(["bound", "--kind", "proposition1", "--lambda-p", "2",
                 "--d", "0.4", "--beta-db", "0:5:10", "--n-r", "24",
-                "--n-theta", "64", "--n-upsilon", "64", "--with-sim",
+                "--n-upsilon", "64", "--with-sim",
                 "--trials", "2000", "--seed", "5", "-o", str(out)]) == 0
     assert "mean |simulated - proposition1|" in capsys.readouterr().out
     header = numeric_lines(out)[0].strip()
@@ -948,7 +960,7 @@ def test_cli_validate_ks_tol_must_be_finite_and_positive(tol, capsys):
 ])
 def test_cli_out_of_memory_is_a_one_line_data_error(module, name, argv, exc, message,
                                                     monkeypatch, capsys):
-    # stands in for an allocation too large for the machine, e.g. --n-theta 1e12
+    # stands in for an allocation too large for the machine, e.g. --n-upsilon 1e12
     def boom(*args, **kwargs):
         raise exc
 
@@ -967,8 +979,8 @@ _FUZZ_PREFIX = {
     "sample": ["--window", "10x10", "--lambda-p", "1", "--d", "0.4", "--n", "4"],
     "simulate": ["--trials", "1", "--threads", "1", "--beta-db", "0", "--source", "mhc",
                  "--lambda-p", "1", "--d", "0.4", "--n", "4"],
-    "bound": ["--trials", "1", "--threads", "1", "--n-r", "16", "--n-theta", "16",
-              "--n-upsilon", "16", "--lambda-p", "1", "--d", "0.5", "--beta-db", "0"],
+    "bound": ["--trials", "1", "--threads", "1", "--n-r", "16", "--n-upsilon", "16",
+              "--lambda-p", "1", "--d", "0.5", "--beta-db", "0"],
     "validate": ["--realizations", "100", "--lambda-p", "1", "--d", "0.5"],
     "fit": ["--trials", "1", "--threads", "1", "--target", str(GOLDEN_CURVE.resolve()),
             "--lambda-p-grid", "2", "--d-grid", "0.4"],
@@ -1027,7 +1039,7 @@ EXTREME_COMMANDS = {
     "simulate": ["simulate", "--source", "ppp:lambda_p=1,window=10x10", "--beta-db", "0",
                  "--trials", "10", "--threads", "1"],
     "bound": ["bound", "--lambda-p", "3", "--d", "0.5", "--beta-db", "0", "--n-r", "16",
-              "--n-theta", "16", "--n-upsilon", "16"],
+              "--n-upsilon", "16"],
     "validate": ["validate", "pgfl-bound", "--lambda-p", "1", "--d", "0.3", "--r", "0.3",
                  "--realizations", "100"],
     "fit": ["fit", "--target", str(GOLDEN_CURVE), "--lambda-p-grid", "2", "--d-grid", "0.4",

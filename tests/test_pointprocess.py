@@ -390,7 +390,7 @@ def loaded():
 print(loaded())
 for kind in ("theorem1", "proposition1"):
     sg.coverage_bound(kind, ch, params, [-10.0, 0.0, 30.0],
-                      sg.QuadConfig(n_r=16, n_theta=16, n_upsilon=16))
+                      sg.QuadConfig(n_r=16, n_upsilon=16))
 print("numpy.polynomial.legendre" in loaded(), "scipy" in sys.modules)
 """
 
